@@ -7,8 +7,14 @@ applied to w0*w*w_levi) lives in the affine Levi parabolic, and the
 closure of the conormal variety inside the ambient affine Schubert
 variety is again a Schubert variety exactly when v satisfies the
 parabolic-longest-element smoothness criteria.  The fibre over the base
-point is indexed by minimal representatives below (w*v) minimised over
-the finite nodes.
+point is indexed by the minimal representatives of the affine Levi below
+b = (w*v) minimised over the finite nodes.  That index set has a closed
+form: by the parabolic map (Billey-Fan-Losonczy, "The parabolic map",
+J. Algebra 214, 1999) the Demazure product m of the affine-Levi letters
+of a reduced word of b is the maximum of W_{affine Levi} below b, and
+since u <= x iff u <= x^J for u in W^J (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, Prop. 2.5.1), the index set is the lower interval below
+m minimised over the finite nodes, which is its unique maximum.
 
 Everything here is a pure function of an immutable context; reports are
 frozen dataclasses with a stable JSON rendering.
@@ -162,7 +168,9 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
 
     The decision is the Demazure absorption test on the twisted dual; it
     is checked against the parabolic-factorization criterion, and the
-    length bookkeeping against dim G/B is asserted on the way.
+    length bookkeeping against dim G/B is asserted on the way.  The fibre
+    maximum comes from the parabolic map (BFL 1999; Bjorner-Brenti Prop.
+    2.5.1); only ``full_fibre`` enumerates, the interval below that maximum.
     """
     v = twisted_dual(ctx, w)
     wv = w * v
@@ -181,35 +189,40 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
 
     fibre_max = fibre_all = None
     if with_fibre and predicate:
-        fibre_all_set = _fibre_index_set(ctx, wv)
-        fibre_max = _maxima(fibre_all_set)
+        top = _fibre_top(ctx, wv)
+        fibre_max = frozenset({top})
         if full_fibre:
-            fibre_all = fibre_all_set
+            fibre_all = enumerate_min_reps(ctx.group, ctx.affine_levi_nodes,
+                                           ctx.finite_nodes, leq_bound=top)
     return ConormalReport(w=w, v=v, wv=wv, roots=roots, smooth=smooth,
                           closure_is_schubert=predicate,
                           fibre_max=fibre_max, fibre_all=fibre_all)
 
 
-def _fibre_index_set(ctx: CominusculeContext,
-                     wv: AffineWeylElement) -> frozenset[AffineWeylElement]:
-    bound = min_rep(wv, ctx.finite_nodes)
-    return enumerate_min_reps(ctx.group, ctx.affine_levi_nodes, ctx.finite_nodes,
-                              leq_bound=bound)
-
-
-def _maxima(elements: frozenset[AffineWeylElement]) -> frozenset[AffineWeylElement]:
-    return frozenset(
-        u for u in elements
-        if not any(x != u and bruhat_leq(u, x) for x in elements))
+def _fibre_top(ctx: CominusculeContext, wv: AffineWeylElement) -> AffineWeylElement:
+    """Maximum of the fibre index set: Demazure fold of the affine-Levi letters."""
+    b = min_rep(wv, ctx.finite_nodes)
+    affine_levi = set(ctx.affine_levi_nodes)
+    m = ctx.group.identity
+    for node in b.reduced_word():
+        if node in affine_levi and not m.has_right_descent(node):
+            m = m.mul_simple_right(node)
+    top = min_rep(m, ctx.finite_nodes)
+    assert top.support() <= affine_levi, "fibre maximum leaves the affine Levi"
+    assert is_min_rep(top, ctx.finite_nodes), "fibre maximum is not minimal"
+    assert bruhat_leq(top, b), "fibre maximum is not below min_rep(wv)"
+    return top
 
 
 def fibre_maximal(ctx: CominusculeContext,
                   w: AffineWeylElement) -> frozenset[AffineWeylElement]:
     """Bruhat-maximal labels of the conormal fibre over the base point.
 
-    Requires the Schubert-closure predicate to hold; otherwise the
-    report is attached to the error, since the decomposition is only
-    available in the smooth case.  The whole index set sits behind
+    A one-element set, from the closed form in the module docstring (BFL
+    1999; Bjorner-Brenti Prop. 2.5.1), with no enumeration.  Requires the
+    Schubert-closure predicate to hold; otherwise the report is attached
+    to the error, since the decomposition is only available in the
+    smooth case.  The whole index set sits behind
     ``closure_is_schubert(..., with_fibre=True, full_fibre=True)``.
     """
     report = closure_is_schubert(ctx, w, with_fibre=True)

@@ -286,7 +286,8 @@ def fibre_rank(n: int, r: int) -> tuple[int, SignedPermutation]:
     Runs the whole pipeline: checks the dual stratum string identity and
     its parabolic minimal-representative form, requires the Schubert
     closure predicate, and matches the unique Bruhat-maximal fibre label
-    against the involution image of the co-rank stratum.
+    (the parabolic map, no enumeration) against the involution image of
+    the co-rank stratum.
     """
     perm = skew_rank_element(n, r)
     nbar = even_rank(n)

@@ -541,24 +541,3 @@ def positive_roots_of(group: WeylGroup, nodes: Iterable[int]) -> frozenset[Vecto
 def parse_word(text: str) -> tuple[int, ...]:
     text = text.strip()
     return tuple(int(tok) for tok in text.split()) if text else ()
-
-
-def format_word(letters: Sequence[int]) -> str:
-    return " ".join(str(i) for i in letters)
-
-
-def act(w: AffineWeylElement, vec: Sequence[int]) -> Vector:
-    """Module-level alias for the root-lattice action."""
-    return w.act(vec)
-
-
-def length(w: AffineWeylElement) -> int:
-    return w.length()
-
-
-def reduced_word(w: AffineWeylElement) -> tuple[int, ...]:
-    return w.reduced_word()
-
-
-def support(w: AffineWeylElement) -> frozenset[int]:
-    return w.support()

@@ -14,9 +14,21 @@ from cograss.checks import (
 )
 from cograss.cominuscule import build_context
 from cograss.rootsys import is_positive_vec
-from cograss.weyl import enumerate_min_reps, min_rep, positive_roots_of
+from cograss.weyl import bruhat_leq, enumerate_min_reps, min_rep, positive_roots_of
 
 RANK4_PAIRS = list(cominuscule_pairs(4))
+
+
+def _oracle_fibre(ctx, wv):
+    """Slow oracle: enumerate the affine Levi's W^finite, filter below min_rep(wv)."""
+    bound = min_rep(wv, ctx.finite_nodes)
+    return enumerate_min_reps(ctx.group, ctx.affine_levi_nodes, ctx.finite_nodes,
+                              leq_bound=bound)
+
+
+def _oracle_maxima(elements):
+    return frozenset(u for u in elements
+                     if not any(x != u and bruhat_leq(u, x) for x in elements))
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +196,20 @@ def test_report_dict_shape(a3ctx):
     assert payload["closure_is_schubert"] is True
     assert isinstance(payload["fibre_max"], list)
     assert len(payload["R"]) == a3ctx.dim_quotient
+
+
+def test_fibre_closed_form_matches_enumeration_oracle():
+    cases = 0
+    for series, rank, d in cominuscule_pairs(6):
+        ctx = build_context(series, rank, d)
+        for w in enumerate_min_reps(ctx.group, ctx.finite_nodes, ctx.levi_nodes):
+            report = conormal.closure_is_schubert(ctx, w, with_fibre=True,
+                                                  full_fibre=True)
+            if not report.closure_is_schubert:
+                assert report.fibre_max is None and report.fibre_all is None
+                continue
+            fibre = _oracle_fibre(ctx, report.wv)
+            assert report.fibre_max == _oracle_maxima(fibre), (series, rank, d, w)
+            assert report.fibre_all == fibre, (series, rank, d, w)
+            cases += 1
+    assert cases == 284

@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cograss import detvar
+from cograss import conormal, detvar, weyl
 from cograss.checks import (
     check_braid_embedding,
     check_detvar_factorizations,
     check_type_d_length_agreement,
+    run_suite,
 )
 from cograss.cominuscule import build_context
 from cograss.weyl import WeylGroup
@@ -133,13 +134,44 @@ def test_fibre_rank_examples():
     assert rank == 0 and witness.is_identity()
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 8, 9, 10])
 def test_fibre_rank_full_sweep(n):
     nbar = detvar.even_rank(n)
     for r in range(0, nbar + 1, 2):
         rank, witness = detvar.fibre_rank(n, r)
         assert rank == nbar - r
         assert witness == detvar.skew_rank_element(n, nbar - r)
+
+
+def test_fibre_path_never_enumerates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fibre maximum must not enumerate")
+
+    monkeypatch.setattr(weyl, "enumerate_min_reps", refuse)
+    monkeypatch.setattr(conormal, "enumerate_min_reps", refuse)
+    ctx = build_context("A", 3, 2)
+    assert len(conormal.fibre_maximal(ctx, ctx.group.identity)) == 1
+    assert detvar.fibre_rank(8, 2) == (6, detvar.skew_rank_element(8, 6))
+
+
+def test_relations_crash_is_a_failed_record(monkeypatch):
+    clean = run_suite("detvar-relations", max_rank=5)
+    assert clean.checks and all(c.passed and c.elapsed is not None for c in clean.checks)
+
+    def explode(n):
+        raise RuntimeError(f"boom at n={n}")
+
+    monkeypatch.setattr(detvar, "check_relations", explode)
+    report = run_suite("detvar-relations", max_rank=5)
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.check_id, c.params) for c in failed] == [
+        ("detvar-relations", "n=4"), ("detvar-relations", "n=5")]
+    assert all("RuntimeError: boom" in c.note for c in failed)
+    relation_ids = {"detvar-chain-shift", "detvar-twisted-exchange",
+                    "detvar-twisted-exchange-chain"}
+    survivors = [c for c in clean.checks if c.check_id not in relation_ids]
+    assert [(c.check_id, c.params) for c in report.checks if c.passed] == [
+        (c.check_id, c.params) for c in survivors]
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])

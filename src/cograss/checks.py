@@ -1,16 +1,26 @@
 """Named verification suites sweeping every identity at desk scale.
 
-Each suite enumerates its admissible parameters up to a rank cap and
-records one exact pass/fail entry per instance.  Checks never mask
-exceptions as passes: a raised assertion inside the library counts as a
-failed check with the message attached.  Aggregation is sorted by check
-id and parameters, so reports are byte-stable for fixed inputs.
+``SUITES`` is a table: each suite name maps to its ``(check id, scope,
+check function)`` entries.  A scope enumerates the instances admissible
+under a rank cap, each as a params string and a thunk that builds the
+check's arguments: one per cominuscule context (the check gets the
+context), one per type-D rank n >= 4 (gets n), one per (n, even r) (gets
+n, r), or a fixed oracle instance.  One runner drives the table and puts
+every instance through one guard, which records one exact pass/fail
+entry.  The guard builds the arguments inside its ``try``, so a raised
+exception, in a context build as much as in a check, is a failed check
+with the message attached, never a crash and never a pass; its clock
+runs around the check call only, so a cached context's construction is
+charged to no check.  ``detvar.check_relations`` is the one check that
+yields many records.  Aggregation is sorted by check id and parameters,
+so reports are byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Iterator, Optional
 
 from . import conormal, detvar
@@ -261,7 +271,7 @@ def check_type_d_length_agreement(n: int) -> bool:
                     seen.add(q)
                     fresh.append(q)
         frontier = fresh
-    if len(seen) != 2 ** (n - 1) * _factorial(n):
+    if len(seen) != 2 ** (n - 1) * factorial(n):
         return False
     for p in seen:
         word = detvar.perm_to_word(p)
@@ -270,13 +280,6 @@ def check_type_d_length_agreement(n: int) -> bool:
         if group.from_word(word).length() != p.length() or len(word) != p.length():
             return False
     return True
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def check_braid_embedding(n: int) -> bool:
@@ -326,126 +329,97 @@ def check_detvar_factorizations(n: int) -> bool:
     return True
 
 
+def check_fibre_rank(n: int, r: int) -> bool:
+    """The conormal fibre over 0 of the rank-<= r skew locus has rank nbar - r."""
+    return detvar.fibre_rank(n, r)[0] == detvar.even_rank(n) - r
+
+
 # -- suite registry -----------------------------------------------------------------
 
+Instances = Iterator[tuple[str, Callable[[], tuple]]]  # (params, arguments thunk)
+Scope = Callable[[int, bool], Instances]                 # (max_rank, include_e7) -> instances
 
-def _context_suite(fn: Callable[[CominusculeContext], bool], check_id: str,
-                   max_rank: int, include_e7: bool) -> Iterator[CheckResult]:
+
+def _contexts(max_rank: int, include_e7: bool) -> Instances:
     for series, rank, d in cominuscule_pairs(max_rank, include_e7):
-        params = f"{series}{rank} d={d}"
-        yield _guard(check_id, params, lambda: fn(build_context(series, rank, d)))
+        yield (f"{series}{rank} d={d}",
+               lambda series=series, rank=rank, d=d: (build_context(series, rank, d),))
 
 
-def _guard(check_id: str, params: str, thunk: Callable[[], bool]) -> CheckResult:
-    start = time.monotonic()
-    try:
-        ok = bool(thunk())
-        note = ""
-    except Exception as exc:  # a raised invariant is a failed check, not a crash
-        ok = False
-        note = f"{type(exc).__name__}: {exc}"
-    return CheckResult(check_id, params, ok, note, time.monotonic() - start)
-
-
-def _suite_wsontheta(max_rank, include_e7):
-    yield from _context_suite(check_wsontheta, "wsontheta", max_rank, include_e7)
-
-
-def _suite_form_inv(max_rank, include_e7):
-    yield from _context_suite(check_form_invariance, "form-inv", max_rank, include_e7)
-
-
-def _suite_iota_conj(max_rank, include_e7):
-    yield from _context_suite(check_iota_conjugation, "iota-conj", max_rank, include_e7)
-
-
-def _suite_result_q(max_rank, include_e7):
-    yield from _context_suite(check_translation_identity, "result-q", max_rank, include_e7)
-
-
-def _suite_vinwsd(max_rank, include_e7):
-    yield from _context_suite(check_min_rep_sets, "vinwsd", max_rank, include_e7)
-    yield from _context_suite(check_connected_support, "vinwsd-support", max_rank, include_e7)
-
-
-def _suite_sb_equiv(max_rank, include_e7):
-    yield from _context_suite(check_smoothness_criteria, "sb-equiv", max_rank, include_e7)
-
-
-def _suite_involution_bij(max_rank, include_e7):
-    yield from _context_suite(check_shift_root_bijection, "involution-bij-roots",
-                              max_rank, include_e7)
-    yield from _context_suite(check_shift_bijection, "involution-bij", max_rank, include_e7)
-
-
-def _suite_main_result(max_rank, include_e7):
-    yield from _context_suite(check_main_predicate, "main-result", max_rank, include_e7)
-
-
-def _suite_nilp(max_rank, include_e7):
-    yield from _context_suite(check_nilpotent_sets, "nilp", max_rank, include_e7)
-
-
-def _suite_detvar_relations(max_rank, include_e7):
+def _type_d_ranks(max_rank: int, include_e7: bool) -> Instances:
     for n in range(4, max_rank + 1):
-        yield _guard("detvar-braid", f"n={n}", lambda n=n: check_braid_embedding(n))
-        if n == 4:
-            yield _guard("detvar-length", f"n={n}",
-                         lambda n=n: check_type_d_length_agreement(n))
-        reports: list[detvar.RelationReport] = []
-        guarded = _guard("detvar-relations", f"n={n}",
-                         lambda n=n: reports.append(detvar.check_relations(n)) or True)
-        if not guarded.passed:
-            yield guarded
-        else:  # the one call's time, shared evenly over the records it yields
-            share = guarded.elapsed / max(len(reports[0].checks), 1)
-            for check_id, params, ok in reports[0].checks:
-                yield CheckResult(f"detvar-{check_id}", params, ok, "", share)
-        yield _guard("detvar-factor", f"n={n}", lambda n=n: check_detvar_factorizations(n))
+        yield f"n={n}", lambda n=n: (n,)
 
 
-def _suite_intersectw(max_rank, include_e7):
+def _type_d_strata(max_rank: int, include_e7: bool) -> Instances:
     for n in range(4, max_rank + 1):
         for r in range(0, detvar.even_rank(n) + 1, 2):
-            yield _guard("intersectw", f"n={n} r={r}",
-                         lambda n=n, r=r: detvar.intersect_identity(n, r))
+            yield f"n={n} r={r}", lambda n=n, r=r: (n, r)
 
 
-def _suite_fibre_det(max_rank, include_e7):
-    for n in range(4, max_rank + 1):
-        for r in range(0, detvar.even_rank(n) + 1, 2):
-            yield _guard(
-                "fibre-det", f"n={n} r={r}",
-                lambda n=n, r=r: detvar.fibre_rank(n, r)[0] == detvar.even_rank(n) - r)
+def _smallest_type_d_rank(max_rank: int, include_e7: bool) -> Instances:
+    return _type_d_ranks(min(max_rank, 4), include_e7)
 
 
-def _suite_oracles(max_rank, include_e7):
-    yield _guard("bruhat-oracle", "A3", lambda: check_bruhat_oracle("A", 3))
-    yield _guard("bruhat-oracle", "B2", lambda: check_bruhat_oracle("B", 2))
-    yield _guard("demazure-assoc", "A3", lambda: check_demazure_associativity("A", 3))
-    yield _guard("length-vee", "A3", lambda: check_length_vee("A", 3))
-    yield _guard("typed-length", "D4", lambda: check_type_d_length_agreement(4))
+def _fixed(params: str, *args) -> Scope:
+    """One oracle instance, whatever the rank cap."""
+    def scope(max_rank: int, include_e7: bool) -> Instances:
+        yield params, lambda: args
+    return scope
 
 
-SUITES: dict[str, Callable[[int, bool], Iterator[CheckResult]]] = {
-    "wsontheta": _suite_wsontheta,
-    "form-inv": _suite_form_inv,
-    "iota-conj": _suite_iota_conj,
-    "result-q": _suite_result_q,
-    "vinwsd": _suite_vinwsd,
-    "sb-equiv": _suite_sb_equiv,
-    "involution-bij": _suite_involution_bij,
-    "main-result": _suite_main_result,
-    "nilp": _suite_nilp,
-    "detvar-relations": _suite_detvar_relations,
-    "intersectw": _suite_intersectw,
-    "fibre-det": _suite_fibre_det,
-    "oracles": _suite_oracles,
+# The detvar calls sit in lambdas so that they are looked up when they run:
+# a patched or traced module attribute is then the one that runs.
+SUITES: dict[str, tuple[tuple[str, Scope, Callable], ...]] = {
+    "wsontheta": (("wsontheta", _contexts, check_wsontheta),),
+    "form-inv": (("form-inv", _contexts, check_form_invariance),),
+    "iota-conj": (("iota-conj", _contexts, check_iota_conjugation),),
+    "result-q": (("result-q", _contexts, check_translation_identity),),
+    "vinwsd": (("vinwsd", _contexts, check_min_rep_sets),
+               ("vinwsd-support", _contexts, check_connected_support)),
+    "sb-equiv": (("sb-equiv", _contexts, check_smoothness_criteria),),
+    "involution-bij": (("involution-bij-roots", _contexts, check_shift_root_bijection),
+                       ("involution-bij", _contexts, check_shift_bijection)),
+    "main-result": (("main-result", _contexts, check_main_predicate),),
+    "nilp": (("nilp", _contexts, check_nilpotent_sets),),
+    "detvar-relations": (
+        ("detvar-braid", _type_d_ranks, check_braid_embedding),
+        ("detvar-length", _smallest_type_d_rank, check_type_d_length_agreement),
+        ("detvar-relations", _type_d_ranks, lambda n: detvar.check_relations(n)),
+        ("detvar-factor", _type_d_ranks, check_detvar_factorizations)),
+    "intersectw": (("intersectw", _type_d_strata, lambda n, r: detvar.intersect_identity(n, r)),),
+    "fibre-det": (("fibre-det", _type_d_strata, check_fibre_rank),),
+    "oracles": (("bruhat-oracle", _fixed("A3", "A", 3), check_bruhat_oracle),
+                ("bruhat-oracle", _fixed("B2", "B", 2), check_bruhat_oracle),
+                ("demazure-assoc", _fixed("A3", "A", 3), check_demazure_associativity),
+                ("length-vee", _fixed("A3", "A", 3), check_length_vee),
+                ("typed-length", _fixed("D4", 4), check_type_d_length_agreement)),
 }
 
 
+def _guard(check_id: str, params: str, check: Callable,
+           make_args: Callable[[], tuple]) -> list[CheckResult]:
+    start = None
+    try:
+        args = make_args()
+        start = time.perf_counter()
+        outcome = check(*args)
+        elapsed = time.perf_counter() - start
+    except Exception as exc:  # a raised invariant is a failed check, not a crash
+        elapsed = None if start is None else time.perf_counter() - start
+        return [CheckResult(check_id, params, False, f"{type(exc).__name__}: {exc}", elapsed)]
+    if isinstance(outcome, detvar.RelationReport):  # one call, shared over its records
+        share = elapsed / max(len(outcome.checks), 1)
+        return [CheckResult(f"detvar-{cid}", p, ok, "", share) for cid, p, ok in outcome.checks]
+    return [CheckResult(check_id, params, bool(outcome), "", elapsed)]
+
+
 def run_suite(suite: str, max_rank: int = 5, include_e7: bool = False) -> VerificationReport:
-    """Run one named suite (or 'all') and aggregate a sorted report."""
+    """Run one named suite (or 'all') and aggregate a sorted report.
+
+    Raises ValueError for an unknown suite, and when the rank cap leaves
+    the requested sweep without a single instance.
+    """
     if suite == "all":
         names = sorted(SUITES)
     elif suite in SUITES:
@@ -455,7 +429,11 @@ def run_suite(suite: str, max_rank: int = 5, include_e7: bool = False) -> Verifi
             f"unknown suite {suite!r}: expected one of {', '.join(sorted(SUITES))} or all")
     checks: list[CheckResult] = []
     for name in names:
-        checks.extend(SUITES[name](max_rank, include_e7))
+        for check_id, scope, check in SUITES[name]:
+            for params, make_args in scope(max_rank, include_e7):
+                checks.extend(_guard(check_id, params, check, make_args))
+    if not checks:
+        raise ValueError(f"suite {suite!r} has no instances at max_rank={max_rank}")
     checks.sort(key=lambda c: (c.check_id, c.params))
     return VerificationReport(suite=suite, max_rank=max_rank,
                               include_e7=include_e7, checks=tuple(checks))

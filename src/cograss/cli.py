@@ -8,9 +8,10 @@ fibre theorem for one (n, r)), and ``verify`` (named lemma sweeps with
 a pass/fail exit code).
 
 Exit codes: 0 on success or all-pass, 1 on any failed check, 2 on usage
-errors including precondition violations from the library.  JSON output
-is byte-stable for fixed inputs: keys are sorted and no timing data is
-emitted unless --timing is given.
+errors including precondition violations from the library; a ``verify``
+sweep that the rank cap leaves without a single check is one of them.
+JSON output is byte-stable for fixed inputs: keys are sorted and no
+timing data is emitted unless --timing is given.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Optional, Sequence
 from . import checks, conormal, detvar
 from .cominuscule import build_context, cominuscule_nodes
 from .rootsys import build_diagram, highest_root, positive_roots
-from .weyl import parse_word
 
 
 def _parse_element(ctx, text: str):
@@ -35,7 +35,7 @@ def _parse_element(ctx, text: str):
                 "bracketed signed permutations are only unambiguous for type D "
                 "with the fork node marked; use a space-separated word")
         return detvar.element_of(ctx, detvar.parse_perm(text))
-    return ctx.group.from_word(parse_word(text))
+    return ctx.group.from_word_str(text)
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:

@@ -174,15 +174,13 @@ def _validate_involution(affine: DynkinDiagram, involution: tuple[int, ...]) -> 
 def _integral_shift(finite: DynkinDiagram, group: WeylGroup,
                     w0: AffineWeylElement, coweight: tuple[Fraction, ...]) -> Vector:
     """w0(coweight) - coweight in the coroot basis, asserted integral."""
-    n = finite.rank
     w0_inv = w0.inverse()
     rhs = []
     for j in finite.nodes:
         pre = w0_inv.act(group.diagram.simple_root(j))
         finite_pre = _finite_part(group.diagram, pre)
         rhs.append(rootsys.pairing(finite, finite_pre, coweight))
-    transposed = [[finite.cartan[i][j] for i in range(n)] for j in range(n)]
-    moved = rootsys.solve_exact(transposed, rhs)
+    moved = rootsys.coroot_coordinates(finite, rhs)
     shift = tuple(m - c for m, c in zip(moved, coweight))
     assert all(x.denominator == 1 for x in shift), \
         "w0(coweight) - coweight left the coroot lattice"

@@ -234,6 +234,15 @@ def fibre_maximal(ctx: CominusculeContext,
     return report.fibre_max
 
 
+def _shifted_cotangent_roots(ctx: CominusculeContext) -> list[Vector]:
+    """psi: the negated affine-Levi positive roots whose support leaves the Levi."""
+    psi = [tuple(-x for x in beta)
+           for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes)
+           if not support_of(ctx.affine_diagram, beta) <= set(ctx.levi_nodes)]
+    assert len(psi) == ctx.dim_quotient
+    return psi
+
+
 def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
     """Closure and sign conditions for the shifted cotangent root set plus gamma.
 
@@ -246,11 +255,7 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
     admissible_neg = {tuple(-x for x in ctx.simple_root(i)): i for i in ctx.levi_nodes}
     d = ctx.cominuscule_node
     group = ctx.group
-
-    psi = [tuple(-x for x in beta)
-           for beta in positive_roots_of(group, ctx.affine_levi_nodes)
-           if not support_of(ctx.affine_diagram, beta) <= set(ctx.levi_nodes)]
-    assert len(psi) == ctx.dim_quotient
+    psi = _shifted_cotangent_roots(ctx)
 
     if gamma in admissible:
         node = admissible[gamma]
@@ -283,9 +288,7 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
 
 def pairwise_sums_not_roots(ctx: CominusculeContext) -> bool:
     """No two elements of the shifted cotangent root set sum to a root."""
-    psi = [tuple(-x for x in beta)
-           for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes)
-           if not support_of(ctx.affine_diagram, beta) <= set(ctx.levi_nodes)]
+    psi = _shifted_cotangent_roots(ctx)
     for x in psi:
         for y in psi:
             total = tuple(a + b for a, b in zip(x, y))

@@ -332,6 +332,25 @@ def _positive_roots_cached(diagram: DynkinDiagram,
     return frozenset(pos)
 
 
+def finite_type_nodes(diagram: DynkinDiagram, nodes: Iterable[int]) -> tuple[int, ...]:
+    """``nodes`` as a sorted tuple; ValueError unless they span a finite type.
+
+    The whole of a finite diagram is accepted as is (``build_diagram``
+    proved it positive definite); the whole affine node set is rejected.
+    """
+    chosen = tuple(sorted(set(nodes)))
+    if not set(chosen) <= set(diagram.nodes):
+        raise ValueError(f"nodes {chosen} are not nodes of the diagram")
+    if len(chosen) == len(diagram.nodes):
+        if diagram.affine:
+            raise ValueError("the full affine node set is infinite: it has infinitely "
+                             "many roots and generates an infinite Weyl group")
+        return chosen
+    if not is_finite_type(diagram, chosen):
+        raise ValueError(f"node set {chosen} is not of finite type")
+    return chosen
+
+
 def positive_roots(diagram: DynkinDiagram,
                    nodes: Optional[Iterable[int]] = None) -> frozenset[Vector]:
     """All positive roots of the (sub-)diagram, as coefficient vectors.
@@ -340,20 +359,7 @@ def positive_roots(diagram: DynkinDiagram,
     chosen subset must be of finite type (affine root systems are
     infinite and are rejected).
     """
-    if nodes is None:
-        if diagram.affine:
-            raise ValueError(
-                "affine root systems are infinite; enumerate a proper node subset "
-                "or use the alpha + n*delta decomposition")
-        chosen = diagram.nodes
-    else:
-        chosen = tuple(sorted(nodes))
-        if not set(chosen) <= set(diagram.nodes):
-            raise ValueError(f"nodes {chosen} are not nodes of the diagram")
-        if diagram.affine and len(chosen) == len(diagram.nodes):
-            raise ValueError("the full affine node set has infinitely many roots")
-        if not is_finite_type(diagram, chosen):
-            raise ValueError(f"node set {chosen} is not of finite type")
+    chosen = finite_type_nodes(diagram, diagram.nodes if nodes is None else nodes)
     return _positive_roots_cached(diagram, chosen)
 
 
@@ -377,12 +383,21 @@ def fundamental_coweight(diagram: DynkinDiagram, node: int) -> tuple[Fraction, .
     """
     if diagram.affine:
         raise ValueError("fundamental coweights are taken in the finite diagram")
-    n = len(diagram.nodes)
-    rhs = [0] * n
+    rhs = [0] * len(diagram.nodes)
     rhs[diagram.index(node)] = 1
-    # <alpha_j, sum_i c_i alpha_i^vee> = sum_i c_i C[i][j]  =>  C^T c = e_node
+    return coroot_coordinates(diagram, rhs)
+
+
+def coroot_coordinates(diagram: DynkinDiagram,
+                       pairings: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """The q in the coroot basis with <alpha_j, q> = pairings[j] for every node j.
+
+    <alpha_j, sum_i q_i alpha_i^vee> = sum_i q_i C[i][j], so this solves
+    C^T q = pairings exactly.
+    """
+    n = len(diagram.nodes)
     transposed = [[diagram.cartan[i][j] for i in range(n)] for j in range(n)]
-    return solve_exact(transposed, rhs)
+    return solve_exact(transposed, pairings)
 
 
 def is_real_root(diagram: DynkinDiagram, vec: Vector) -> bool:

@@ -23,17 +23,18 @@ words, minimal representatives and traces are deterministic.
 from __future__ import annotations
 
 import functools
+from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .rootsys import (
     DynkinDiagram,
     Vector,
     build_diagram,
-    is_finite_type,
+    coroot_coordinates,
+    finite_type_nodes,
     is_negative_vec,
     pairing,
     positive_roots,
-    solve_exact,
 )
 
 
@@ -165,10 +166,8 @@ class AffineWeylElement:
             return self.cols, (0,) * len(diagram.nodes)
         n = diagram.rank
         # alpha_0 coordinate of w(alpha_j) is -<alpha_j, q>, i.e. -(C^T q)_j
-        rhs = [-self.cols[j][0] for j in range(1, n + 1)]
-        finite = group.finite_diagram
-        transposed = [[finite.cartan[i][j] for i in range(n)] for j in range(n)]
-        q = solve_exact(transposed, rhs)
+        q = coroot_coordinates(group.finite_diagram,
+                               [-self.cols[j][0] for j in range(1, n + 1)])
         assert all(x.denominator == 1 for x in q), "translation part is not integral"
         qi = tuple(int(x) for x in q)
         delta = diagram.delta
@@ -299,7 +298,6 @@ def theta_coroot(finite: DynkinDiagram) -> Vector:
     """theta^vee in the coroot basis: <alpha_j, theta^vee> = 2(alpha_j|theta)/(theta|theta)."""
     from .rootsys import highest_root, inner_form
 
-    n = finite.rank
     theta = highest_root(finite)
     norm = inner_form(finite, theta, theta)
     rhs = []
@@ -307,8 +305,7 @@ def theta_coroot(finite: DynkinDiagram) -> Vector:
         num = 2 * inner_form(finite, finite.simple_root(j), theta)
         assert num % norm == 0
         rhs.append(num // norm)
-    transposed = [[finite.cartan[i][j] for i in range(n)] for j in range(n)]
-    sol = solve_exact(transposed, rhs)
+    sol = coroot_coordinates(finite, rhs)
     assert all(x.denominator == 1 for x in sol)
     return tuple(int(x) for x in sol)
 
@@ -318,8 +315,7 @@ def theta_coroot(finite: DynkinDiagram) -> Vector:
 
 def longest_element(group: WeylGroup, nodes: Iterable[int]) -> AffineWeylElement:
     """The longest element of the parabolic W_nodes (finite type required)."""
-    chosen = tuple(sorted(set(nodes)))
-    _require_finite_parabolic(group, chosen)
+    chosen = finite_type_nodes(group.diagram, nodes)
     x = group.identity
     while True:
         for node in chosen:
@@ -328,18 +324,6 @@ def longest_element(group: WeylGroup, nodes: Iterable[int]) -> AffineWeylElement
                 break
         else:
             return x
-
-
-def _require_finite_parabolic(group: WeylGroup, chosen: Sequence[int]) -> None:
-    if not set(chosen) <= set(group.diagram.nodes):
-        raise ValueError(f"nodes {chosen} are not nodes of the diagram")
-    if group.diagram.affine:
-        if len(chosen) == len(group.diagram.nodes):
-            raise ValueError("the full affine diagram generates an infinite parabolic")
-    elif len(chosen) == len(group.diagram.nodes):
-        return  # whole finite group is fine
-    if not is_finite_type(group.diagram, chosen):
-        raise ValueError(f"node set {chosen} is not of finite type")
 
 
 def min_rep(w: AffineWeylElement, nodes: Iterable[int]) -> AffineWeylElement:
@@ -411,9 +395,8 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
     Cardinality is checked against |W_span| / |W_{span & quotient}|; an
     optional Bruhat upper bound filters the result afterwards.
     """
-    span = tuple(sorted(set(span_nodes)))
+    span = finite_type_nodes(group.diagram, span_nodes)
     quo = tuple(sorted(set(quotient_nodes)))
-    _require_finite_parabolic(group, span)
     if not set(quo) <= set(group.diagram.nodes):
         raise ValueError(f"nodes {quo} are not nodes of the diagram")
     reps = {group.identity}
@@ -438,8 +421,7 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
 
 def weyl_elements(group: WeylGroup, nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
     """Every element of a finite-type parabolic (test-scale sweeps only)."""
-    span = tuple(sorted(set(nodes)))
-    _require_finite_parabolic(group, span)
+    span = finite_type_nodes(group.diagram, nodes)
     seen = {group.identity}
     frontier = [group.identity]
     while frontier:
@@ -456,11 +438,7 @@ def weyl_elements(group: WeylGroup, nodes: Iterable[int]) -> frozenset[AffineWey
 
 def weyl_order(diagram: DynkinDiagram, nodes: Iterable[int]) -> int:
     """|W_nodes| via classification of the connected components."""
-    remaining = set(nodes)
-    if not remaining <= set(diagram.nodes):
-        raise ValueError("nodes outside the diagram")
-    if not is_finite_type(diagram, tuple(sorted(remaining))):
-        raise ValueError(f"node set {tuple(sorted(remaining))} is not of finite type")
+    remaining = set(finite_type_nodes(diagram, nodes))
     total = 1
     while remaining:
         comp = {min(remaining)}
@@ -483,16 +461,16 @@ def _component_order(diagram: DynkinDiagram, comp: tuple[int, ...]) -> int:
     if double:
         if diagram.entry(double[0][0], double[0][1]) * diagram.entry(double[0][1], double[0][0]) >= 4:
             raise ValueError("component is not of finite type")
-        return (2 ** k) * _factorial(k)  # B_k / C_k
+        return (2 ** k) * factorial(k)  # B_k / C_k
     degrees = {i: sum(1 for j in comp if j != i and diagram.entry(i, j) != 0) for i in comp}
     branches = [i for i, deg in degrees.items() if deg == 3]
     if not branches:
-        return _factorial(k + 1)  # A_k
+        return factorial(k + 1)  # A_k
     if len(branches) > 1:
         raise ValueError("component is not of finite type")
     arms = sorted(_arm_lengths(diagram, comp, branches[0]))
     if arms[0] == 1 and arms[1] == 1:
-        return (2 ** (k - 1)) * _factorial(k)  # D_k
+        return (2 ** (k - 1)) * factorial(k)  # D_k
     exceptional = {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}
     try:
         return exceptional[tuple(arms)]
@@ -517,13 +495,6 @@ def _arm_lengths(diagram: DynkinDiagram, comp: tuple[int, ...], centre: int) -> 
     return lengths
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def bruhat_interval_check(u: AffineWeylElement, w: AffineWeylElement) -> bool:
     """Subword-oracle comparison; exists for tests of bruhat_leq only."""
     word = w.reduced_word()
@@ -535,9 +506,4 @@ def bruhat_interval_check(u: AffineWeylElement, w: AffineWeylElement) -> bool:
 
 
 def positive_roots_of(group: WeylGroup, nodes: Iterable[int]) -> frozenset[Vector]:
-    return positive_roots(group.diagram, tuple(sorted(set(nodes))))
-
-
-def parse_word(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    return tuple(int(tok) for tok in text.split()) if text else ()
+    return positive_roots(group.diagram, nodes)

@@ -1,0 +1,81 @@
+"""The verify runner: one guard per instance, timing that excludes set-up."""
+
+import importlib
+import importlib.util
+import time
+from pathlib import Path
+
+import pytest
+
+from cograss import checks
+from cograss.checks import run_suite
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_failed_context_build_fails_only_its_records(monkeypatch):
+    clean = run_suite("all", max_rank=3)
+    real = checks.build_context
+
+    def broken(series, rank, node):
+        if (series, rank, node) == ("A", 2, 1):
+            raise RuntimeError("no context today")
+        return real(series, rank, node)
+
+    monkeypatch.setattr(checks, "build_context", broken)
+    report = run_suite("all", max_rank=3)
+    assert len(report.checks) == len(clean.checks)
+    hit = [c for c in report.checks if c.params == "A2 d=1"]
+    assert hit and all(not c.passed and c.note == "RuntimeError: no context today"
+                       for c in hit)
+
+    def others(r):
+        return [(c.check_id, c.params, c.passed, c.note)
+                for c in r.checks if c.params != "A2 d=1"]
+
+    assert others(report) == others(clean)
+
+
+def test_timing_excludes_context_construction(monkeypatch):
+    real = checks.build_context
+
+    def slow(series, rank, node):
+        time.sleep(0.2)
+        return real(series, rank, node)
+
+    monkeypatch.setattr(checks, "build_context", slow)
+    report = run_suite("form-inv", max_rank=2)
+    assert report.checks and report.all_pass
+    assert all(c.elapsed is not None and c.elapsed < 0.2 for c in report.checks)
+
+
+@pytest.mark.parametrize("suite, max_rank", [("fibre-det", 3), ("wsontheta", 0)])
+def test_empty_sweep_is_an_error(suite, max_rank):
+    with pytest.raises(ValueError, match=f"{suite}.*max_rank={max_rank}"):
+        run_suite(suite, max_rank=max_rank)
+
+
+def test_all_at_rank_zero_runs_the_oracles():
+    report = run_suite("all", max_rank=0)
+    assert len(report.checks) == 5 and report.all_pass
+
+
+def test_benchmark_entry_points_resolve():
+    """Every name the traced benchmark run wraps, and what its golden recorder
+    imports, still exists in the library."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for targets in tracing.ENTRY_POINTS.values():
+        for target, attrs in targets.items():
+            module_name, _, cls_name = target.partition(":")
+            owner = importlib.import_module(module_name)
+            if cls_name:
+                owner = getattr(owner, cls_name)
+            missing += [f"{target}.{attr}" for attr in attrs
+                        if attr not in (vars(owner) if cls_name else dir(owner))]
+    assert missing == []
+    assert isinstance(checks.SUITES, dict) and "all" not in checks.SUITES
+    assert callable(checks.cominuscule_pairs)

@@ -112,6 +112,12 @@ def test_verify_small_all_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_empty_sweep_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "fibre-det", "--max-rank", "3")
+    assert code == 2 and out == ""
+    assert "fibre-det" in err and "max_rank=3" in err
+
+
 def test_verify_unknown_suite_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])

@@ -22,6 +22,7 @@ frozen dataclasses with a stable JSON rendering.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -249,7 +250,8 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
     gamma must be a finite simple root or the negative of a Levi simple
     root.  Checks that the set is closed under root addition and that
     the two witness elements send it into the positive and negative
-    roots respectively.
+    roots respectively.  Sums within psi come from ``_psi_root_sums``;
+    only the sums with gamma are tested per call.
     """
     admissible = {ctx.simple_root(i): i for i in ctx.finite_nodes}
     admissible_neg = {tuple(-x for x in ctx.simple_root(i)): i for i in ctx.levi_nodes}
@@ -273,11 +275,12 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
             "gamma must be a finite simple root or a negated Levi simple root")
 
     members = set(psi) | {gamma}
+    if not _psi_root_sums(ctx) <= members:
+        return False
     for x in psi + [gamma]:
-        for y in psi + [gamma]:
-            total = tuple(a + b for a, b in zip(x, y))
-            if rootsys.is_root(ctx.affine_diagram, total) and total not in members:
-                return False
+        total = tuple(a + b for a, b in zip(x, gamma))
+        if rootsys.is_root(ctx.affine_diagram, total) and total not in members:
+            return False
     for vec in members:
         if not is_positive_vec(u_plus.act(vec)):
             return False
@@ -286,15 +289,17 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def _psi_root_sums(ctx: CominusculeContext) -> frozenset[Vector]:
+    """The sums x + y over x, y in psi that are roots, computed once per context."""
+    psi = _shifted_cotangent_roots(ctx)
+    sums = (tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi)
+    return frozenset(total for total in sums if rootsys.is_root(ctx.affine_diagram, total))
+
+
 def pairwise_sums_not_roots(ctx: CominusculeContext) -> bool:
     """No two elements of the shifted cotangent root set sum to a root."""
-    psi = _shifted_cotangent_roots(ctx)
-    for x in psi:
-        for y in psi:
-            total = tuple(a + b for a, b in zip(x, y))
-            if rootsys.is_root(ctx.affine_diagram, total):
-                return False
-    return True
+    return not _psi_root_sums(ctx)
 
 
 def report_to_dict(ctx: CominusculeContext, report: ConormalReport) -> dict:

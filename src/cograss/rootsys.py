@@ -48,7 +48,11 @@ class DynkinDiagram:
     marks: Optional[tuple[int, ...]] = None
 
     def index(self, node: int) -> int:
-        return node - self.nodes[0]
+        """Position of ``node`` in ``nodes``; ValueError for a foreign label."""
+        i = node - self.nodes[0]
+        if 0 <= i < len(self.nodes):
+            return i
+        raise ValueError(f"{node} is not a node of the diagram")
 
     def entry(self, i: int, j: int) -> int:
         """Cartan entry <alpha_j, alpha_i^vee> by node labels."""
@@ -332,11 +336,18 @@ def _positive_roots_cached(diagram: DynkinDiagram,
     return frozenset(pos)
 
 
+# is_finite_type by (diagram, sorted proper node tuple).
+_FINITE_TYPE: dict[tuple[DynkinDiagram, tuple[int, ...]], bool] = {}
+
+
 def finite_type_nodes(diagram: DynkinDiagram, nodes: Iterable[int]) -> tuple[int, ...]:
     """``nodes`` as a sorted tuple; ValueError unless they span a finite type.
 
     The whole of a finite diagram is accepted as is (``build_diagram``
     proved it positive definite); the whole affine node set is rejected.
+    A proper subset is tested by ``is_finite_type`` only the first time
+    and its answer kept in ``_FINITE_TYPE``; a rejected set raises on
+    every call.
     """
     chosen = tuple(sorted(set(nodes)))
     if not set(chosen) <= set(diagram.nodes):
@@ -346,7 +357,11 @@ def finite_type_nodes(diagram: DynkinDiagram, nodes: Iterable[int]) -> tuple[int
             raise ValueError("the full affine node set is infinite: it has infinitely "
                              "many roots and generates an infinite Weyl group")
         return chosen
-    if not is_finite_type(diagram, chosen):
+    key = (diagram, chosen)
+    finite = _FINITE_TYPE.get(key)
+    if finite is None:
+        finite = _FINITE_TYPE[key] = is_finite_type(diagram, chosen)
+    if not finite:
         raise ValueError(f"node set {chosen} is not of finite type")
     return chosen
 

@@ -18,6 +18,14 @@ which pins the composition convention (u, q) = u o tau_q with group law
 
 Descent stripping uses the smallest node index everywhere, so reduced
 words, minimal representatives and traces are deterministic.
+
+Lengths are carried rather than recomputed.  The identity has length 0,
+and ``mul_simple_right`` gives w s_i the length l(w) - 1 when
+w(alpha_i) < 0 and l(w) + 1 otherwise (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, 1.6 and 4.4), so everything built by ``from_word`` or
+``inverse`` arrives with its length.  Any other element (a product, a
+translation) strips a reduced word on its first ``length()`` and keeps
+the result.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from .rootsys import (
     build_diagram,
     coroot_coordinates,
     finite_type_nodes,
-    is_negative_vec,
     pairing,
     positive_roots,
 )
@@ -41,14 +48,16 @@ from .rootsys import (
 class AffineWeylElement:
     """An element of a finite or affine Weyl group, in matrix canonical form."""
 
-    __slots__ = ("group", "cols", "_hash", "_word", "_inv")
+    __slots__ = ("group", "cols", "_hash", "_word", "_inv", "_len")
 
-    def __init__(self, group: "WeylGroup", cols: tuple[Vector, ...]):
+    def __init__(self, group: "WeylGroup", cols: tuple[Vector, ...],
+                 length: Optional[int] = None):
         self.group = group
         self.cols = cols
         self._hash: Optional[int] = None
         self._word: Optional[tuple[int, ...]] = None
         self._inv: Optional["AffineWeylElement"] = None
+        self._len = length
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, AffineWeylElement)
@@ -84,14 +93,17 @@ class AffineWeylElement:
         return AffineWeylElement(self.group, tuple(self.act(col) for col in other.cols))
 
     def mul_simple_right(self, node: int) -> "AffineWeylElement":
-        """self * s_node as an O(rank^2) column update."""
+        """self * s_node as an O(rank^2) column update, carrying a known length."""
         idx = self.group.diagram.index(node)
         row = self.group.diagram.cartan[idx]
         pivot = self.cols[idx]
         cols = tuple(
             col if row[b] == 0 else tuple(x - row[b] * y for x, y in zip(col, pivot))
             for b, col in enumerate(self.cols))
-        return AffineWeylElement(self.group, cols)
+        length = self._len
+        if length is not None:
+            length += -1 if min(pivot) < 0 else 1
+        return AffineWeylElement(self.group, cols, length)
 
     def mul_simple_left(self, node: int) -> "AffineWeylElement":
         """s_node * self as an O(rank^2) entry update."""
@@ -118,12 +130,16 @@ class AffineWeylElement:
         return self.cols == self.group.identity.cols
 
     def has_right_descent(self, node: int) -> bool:
-        """w s_node < w  iff  w(alpha_node) < 0."""
-        return is_negative_vec(self.cols[self.group.diagram.index(node)])
+        """w s_node < w  iff  w(alpha_node) < 0.
+
+        w(alpha_node) is a real root, so its coefficients share one sign
+        and the smallest one decides.
+        """
+        return min(self.cols[self.group.diagram.index(node)]) < 0
 
     def first_right_descent(self) -> Optional[int]:
-        for node in self.group.diagram.nodes:
-            if self.has_right_descent(node):
+        for node, col in zip(self.group.diagram.nodes, self.cols):
+            if min(col) < 0:
                 return node
         return None
 
@@ -139,11 +155,15 @@ class AffineWeylElement:
                 x = x.mul_simple_right(node)
                 trace.append(node)
             assert x.is_identity()
+            assert self._len is None or self._len == len(trace), "carried length is wrong"
             self._word = tuple(reversed(trace))
         return self._word
 
     def length(self) -> int:
-        return len(self.reduced_word())
+        """The carried length, or that of a reduced word stripped once."""
+        if self._len is None:
+            self._len = len(self.reduced_word())
+        return self._len
 
     def support(self) -> frozenset[int]:
         """Letters of any reduced word (well defined)."""
@@ -185,7 +205,11 @@ class AffineWeylElement:
 
 
 class WeylGroup:
-    """Weyl group of a Dynkin diagram, with shared caches per diagram."""
+    """Weyl group of a Dynkin diagram, with shared caches per diagram.
+
+    ``_bruhat_memo`` holds ``bruhat_leq`` results and ``_longest`` the
+    parabolic longest elements by sorted node tuple.
+    """
 
     _instances: dict[DynkinDiagram, "WeylGroup"] = {}
 
@@ -202,12 +226,13 @@ class WeylGroup:
         self.diagram = diagram
         n = len(diagram.nodes)
         self.identity = AffineWeylElement(
-            self, tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n)))
+            self, tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n)), 0)
         self.identity._word = ()
         self.identity._inv = self.identity
         self.simple = {node: self.identity.mul_simple_right(node)
                        for node in diagram.nodes}
         self._bruhat_memo: dict[tuple, bool] = {}
+        self._longest: dict[tuple[int, ...], AffineWeylElement] = {}
         if diagram.affine:
             self.finite_diagram = build_diagram(diagram.series, diagram.rank)
             self._check_loop_conventions()
@@ -314,8 +339,14 @@ def theta_coroot(finite: DynkinDiagram) -> Vector:
 
 
 def longest_element(group: WeylGroup, nodes: Iterable[int]) -> AffineWeylElement:
-    """The longest element of the parabolic W_nodes (finite type required)."""
+    """The longest element of the parabolic W_nodes (finite type required).
+
+    Built once per node set and kept in ``group._longest``.
+    """
     chosen = finite_type_nodes(group.diagram, nodes)
+    cached = group._longest.get(chosen)
+    if cached is not None:
+        return cached
     x = group.identity
     while True:
         for node in chosen:
@@ -323,6 +354,7 @@ def longest_element(group: WeylGroup, nodes: Iterable[int]) -> AffineWeylElement
                 x = x.mul_simple_right(node)
                 break
         else:
+            group._longest[chosen] = x
             return x
 
 

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from cograss import checks
+from cograss import checks, rootsys, weyl
 from cograss.checks import run_suite
+from cograss.rootsys import build_diagram
+from cograss.weyl import WeylGroup, longest_element
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -79,3 +81,30 @@ def test_benchmark_entry_points_resolve():
     assert missing == []
     assert isinstance(checks.SUITES, dict) and "all" not in checks.SUITES
     assert callable(checks.cominuscule_pairs)
+
+
+def test_finite_type_check_runs_once_per_node_set(monkeypatch):
+    """Op-count gate: a main-result sweep tests each (diagram, node set) once."""
+    touched, tested = [], []
+    real_nodes, real_test = rootsys.finite_type_nodes, rootsys.is_finite_type
+
+    def recording_nodes(diagram, nodes):
+        chosen = real_nodes(diagram, nodes)
+        touched.append((diagram, chosen))
+        return chosen
+
+    def counting_test(diagram, nodes=None):
+        tested.append((diagram, tuple(nodes)))
+        return real_test(diagram, nodes)
+
+    monkeypatch.setattr(rootsys, "_FINITE_TYPE", {})
+    monkeypatch.setattr(rootsys, "is_finite_type", counting_test)
+    monkeypatch.setattr(rootsys, "finite_type_nodes", recording_nodes)
+    monkeypatch.setattr(weyl, "finite_type_nodes", recording_nodes)
+    assert run_suite("main-result", max_rank=4).all_pass
+    assert 0 < len(tested) <= len(set(touched)) < len(touched)
+
+
+def test_longest_element_is_built_once_per_node_set():
+    group = WeylGroup(build_diagram("D", 4, affine=True))
+    assert longest_element(group, (1, 2, 3)) is longest_element(group, [3, 1, 2, 1])

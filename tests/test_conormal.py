@@ -1,8 +1,10 @@
 """Conormal root sets, smoothness criteria, closure predicate, fibres."""
 
+import random
+
 import pytest
 
-from cograss import conormal
+from cograss import conormal, rootsys
 from cograss.checks import (
     check_connected_support,
     check_main_predicate,
@@ -158,6 +160,64 @@ def test_nilpotent_set_examples(a3ctx):
         conormal.nilpotent_set_check(a3ctx, a3ctx.simple_root(0))
     with pytest.raises(ValueError, match="gamma"):
         conormal.nilpotent_set_check(a3ctx, tuple(-x for x in a3ctx.simple_root(d)))
+
+
+def _nilpotent_oracle(ctx, psi, gamma):
+    """All-pairs closure of psi + {gamma} under root addition, then the signs."""
+    group, d = ctx.group, ctx.cominuscule_node
+    node = next(i for i in ctx.finite_nodes + ctx.levi_nodes
+                if gamma in (ctx.simple_root(i), tuple(-x for x in ctx.simple_root(i))))
+    if gamma != ctx.simple_root(node):
+        u_plus, u_minus = ctx.w_affine_levi, group.identity
+    elif node == d:
+        u_plus, u_minus = ctx.w_affine_levi, group.simple[d]
+    else:
+        u_plus, u_minus = ctx.w_affine_levi * group.simple[node], group.simple[node]
+    members = set(psi) | {gamma}
+    for x in members:
+        for y in members:
+            total = tuple(a + b for a, b in zip(x, y))
+            if rootsys.is_root(ctx.affine_diagram, total) and total not in members:
+                return False
+    return all(is_positive_vec(u_plus.act(v)) and not is_positive_vec(u_minus.act(v))
+               for v in members)
+
+
+@pytest.mark.parametrize("pair", RANK4_PAIRS, ids=lambda p: "%s%d d=%d" % p)
+def test_nilpotent_set_check_matches_all_pairs_oracle(pair, monkeypatch):
+    """The per-context psi + psi sums give the all-pairs answer, also on sets
+    other than psi: random root sets, and sets where a psi + psi sum is gamma."""
+    ctx = build_context(*pair)
+    real_psi = conormal._shifted_cotangent_roots(ctx)
+    gammas = [ctx.simple_root(i) for i in ctx.finite_nodes]
+    gammas += [tuple(-x for x in ctx.simple_root(i)) for i in ctx.levi_nodes]
+    pool = sorted(set(real_psi) | set(gammas)
+                  | set(positive_roots_of(ctx.group, ctx.finite_nodes)))
+    rng = random.Random(repr(pair))
+    candidates = [real_psi]
+    candidates += [rng.sample(pool, rng.randrange(1, min(7, len(pool)))) for _ in range(30)]
+    for j in ctx.finite_nodes:
+        for k in ctx.finite_nodes:
+            alpha_jk = tuple(a + b for a, b in zip(ctx.simple_root(j), ctx.simple_root(k)))
+            if j != k and rootsys.is_root(ctx.affine_diagram, alpha_jk):
+                candidates.append(real_psi + [alpha_jk, tuple(-x for x in ctx.simple_root(k))])
+    outcomes = set()
+    try:
+        for psi in candidates:
+            conormal._psi_root_sums.cache_clear()
+            monkeypatch.setattr(conormal, "_shifted_cotangent_roots", lambda c, psi=psi: psi)
+            sums = {tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi}
+            assert conormal.pairwise_sums_not_roots(ctx) == \
+                (not any(rootsys.is_root(ctx.affine_diagram, s) for s in sums))
+            for gamma in gammas:
+                expected = _nilpotent_oracle(ctx, psi, gamma)
+                assert conormal.nilpotent_set_check(ctx, gamma) == expected
+                outcomes.add((expected, gamma in sums))
+    finally:
+        conormal._psi_root_sums.cache_clear()
+    if ctx.rank > 1:  # A1 has too few roots to make a set that fails
+        assert {expected for expected, _ in outcomes} == {True, False}
+        assert any(in_sums for _, in_sums in outcomes)
 
 
 def test_inversion_partition(a3ctx):

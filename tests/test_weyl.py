@@ -1,15 +1,27 @@
 """Weyl group arithmetic: action, length, Bruhat order, Demazure product."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cograss.rootsys import build_diagram, inner_form, is_positive_vec, support_of
+from cograss.rootsys import (
+    build_diagram,
+    inner_form,
+    is_negative_vec,
+    is_positive_vec,
+    positive_roots,
+    support_of,
+)
 from cograss.weyl import (
+    AffineWeylElement,
     WeylGroup,
     bruhat_interval_check,
     bruhat_leq,
     demazure,
     enumerate_min_reps,
+    is_min_rep,
     longest_element,
     min_rep,
     positive_roots_of,
@@ -383,3 +395,72 @@ def test_e6_quotient_has_27_lines():
     g = group_of("E", 6, affine=True)
     reps = enumerate_min_reps(g, tuple(range(1, 7)), (2, 3, 4, 5, 6))
     assert len(reps) == 27
+
+
+# -- carried length against the stripped length -----------------------------------------
+
+FINITE_UP_TO_RANK_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                       ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4)]
+
+
+def stripped_length(x):
+    """Slow oracle: a fresh copy carries no length, so it strips a reduced word."""
+    return AffineWeylElement(x.group, x.cols).length()
+
+
+def assert_lengths_carried(x):
+    assert x._len is not None
+    assert x.length() == stripped_length(x)
+    for node, col in zip(x.group.diagram.nodes, x.cols):
+        assert x.has_right_descent(node) == (min(col) < 0) == is_negative_vec(col)
+
+
+@pytest.mark.parametrize("series, rank", FINITE_UP_TO_RANK_4)
+def test_carried_length_matches_stripped_length_finite(series, rank):
+    g = group_of(series, rank)
+    nodes = g.diagram.nodes
+    levi = nodes[:-1]
+    for x in weyl_elements(g, nodes):
+        assert_lengths_carried(x)
+        assert_lengths_carried(x.inverse())
+        assert x.inverse().length() == x.length()
+        for quotient in [levi] + [(i,) for i in nodes if len(nodes) > 1]:
+            rep = min_rep(x, quotient)
+            assert rep.length() == stripped_length(rep)
+    for k in range(len(nodes) + 1):
+        for subset in itertools.combinations(nodes, k):
+            top = longest_element(g, subset)
+            assert_lengths_carried(top)
+            assert top.length() == len(positive_roots(g.diagram, subset))
+
+
+@pytest.mark.parametrize("series, rank", [("A", 3), ("C", 3), ("D", 4), ("E", 6)])
+def test_carried_length_matches_stripped_length_affine(series, rank):
+    g = group_of(series, rank, affine=True)
+    nodes = g.diagram.nodes
+    rng = random.Random(f"{series}{rank}")
+    for _ in range(200):
+        x = g.from_word(rng.choice(nodes) for _ in range(rng.randrange(25)))
+        assert_lengths_carried(x)
+        assert_lengths_carried(x.inverse())
+        quotient = nodes[1:]
+        rep = min_rep(x, quotient)
+        assert rep.length() == stripped_length(rep)
+    for k in range(len(nodes)):
+        for subset in itertools.combinations(nodes, k):
+            top = longest_element(g, subset)
+            assert_lengths_carried(top)
+            assert top.length() == len(positive_roots(g.diagram, subset))
+
+
+@pytest.mark.parametrize("series, rank, affine, label", [
+    ("A", 3, False, 0), ("A", 3, False, 4), ("A", 3, True, -1), ("C", 2, True, 3)])
+def test_foreign_node_label_is_rejected(series, rank, affine, label):
+    g = group_of(series, rank, affine)
+    x = g.simple[rank]
+    with pytest.raises(ValueError, match=f"{label} is not a node"):
+        g.identity.mul_simple_right(label)
+    with pytest.raises(ValueError, match=f"{label} is not a node"):
+        x.has_right_descent(label)
+    with pytest.raises(ValueError, match=f"{label} is not a node"):
+        is_min_rep(x, [label])

@@ -94,6 +94,12 @@ def conormal_roots(ctx: CominusculeContext, w: AffineWeylElement) -> frozenset[V
 
 def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylElement:
     """The involution applied to w0 * w * w_levi; lands in the affine Levi."""
+    return _dual_pair(ctx, w)[0]
+
+
+def _dual_pair(ctx: CominusculeContext,
+               w: AffineWeylElement) -> tuple[AffineWeylElement, AffineWeylElement]:
+    """(v, w * v) for the twisted dual v, each product built once."""
     _require_finite_min_rep(ctx, w)
     v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
     assert v.support() <= set(ctx.affine_levi_nodes)
@@ -101,7 +107,7 @@ def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylEle
     wv = w * v
     assert wv.length() == w.length() + v.length() == ctx.dim_quotient, \
         "length bookkeeping l(wv) = l(w) + l(v) = dim G/P fails"
-    return v
+    return v, wv
 
 
 def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
@@ -112,8 +118,8 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     """
     v = twisted_dual(ctx, w)
     delta = ctx.delta()
-    shifted = {tuple(a - m for a, m in zip(alpha, delta))
-               for alpha in conormal_roots(ctx, w)}
+    roots = conormal_roots(ctx, w)
+    shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in roots}
     negatives_levi = {tuple(-x for x in beta)
                       for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes)}
     target = {beta for beta in negatives_levi if is_positive_vec(v.act(beta))}
@@ -124,7 +130,7 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
         lhs = v.act(tuple(a - m for a, m in zip(alpha, delta)))
         rhs = tuple(-x for x in ctx.iota_root(ctx.w0.act(w.act(alpha))))
         assert lhs == rhs, "pointwise shift identity fails"
-    assert len(conormal_roots(ctx, w)) == v.length()
+    assert len(roots) == v.length()
     return shifted == target
 
 
@@ -173,8 +179,7 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
     maximum comes from the parabolic map (BFL 1999; Bjorner-Brenti Prop.
     2.5.1); only ``full_fibre`` enumerates, the interval below that maximum.
     """
-    v = twisted_dual(ctx, w)
-    wv = w * v
+    v, wv = _dual_pair(ctx, w)
     roots = conormal_roots(ctx, w)
     assert len(roots) == v.length(), "conormal root count must equal l(v)"
     smooth = is_smooth(ctx, v)

@@ -5,8 +5,11 @@ lattice of its diagram, kept column-major: ``cols[k]`` is the image of
 the simple root of the k-th node.  The action of the affine group on
 its root lattice is faithful and linear (a translation tau_q sends a
 finite root alpha to alpha - <alpha, q> delta), so this single matrix
-is a canonical form with O(rank^2) equality, and right/left
-multiplication by a simple reflection is an O(rank^2) column update.
+is a canonical form with O(rank^2) equality.  Right multiplication by a
+simple reflection s_i rewrites only the columns of i's Cartan
+neighbours, and left multiplication only entry i of each column, read
+off the neighbours' entries; each WeylGroup keeps the nonzero Cartan
+entries per node for both.
 
 The semidirect description W = W_0 x| (coroot lattice) is available as
 a derived view: ``semidirect_pair`` splits an element into its finite
@@ -16,22 +19,34 @@ affine generator equals s_theta composed with translation by -theta^vee,
 which pins the composition convention (u, q) = u o tau_q with group law
 (u, q)(u', q') = (u u', u'^{-1}(q) + q').
 
-Descent stripping uses the smallest node index everywhere, so reduced
-words, minimal representatives and traces are deterministic.
+Reduced words strip right descents, smallest node index first, so
+reduced words, minimal representatives and traces are deterministic.
+The strip runs on one integer vector, not on a chain of elements.  With
+rho = sum of the fundamental weights Lambda_i (of positive level in the
+affine case), mu = w^{-1}(rho) has coordinates mu_i = <w(alpha_i^vee), rho>,
+the height of the coroot w(alpha_i^vee), which is sum_k cols[i][k] d_k / d_i
+for the symmetrizer d.  Its sign is that of w(alpha_i), and w s_i < w iff
+w(alpha_i) < 0 (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.6 and
+4.4), so the first negative mu_i is the descent to strip.  Stripping it
+applies s_i to mu, which moves only the entries of i's Cartan neighbours.
+The group acts simply transitively on the chambers around the regular
+dominant weight rho (Kac, Infinite-dimensional Lie algebras, Prop. 3.12),
+so the strip ends exactly when mu = rho, i.e. every entry is 1.
 
 Lengths are carried rather than recomputed.  The identity has length 0,
 and ``mul_simple_right`` gives w s_i the length l(w) - 1 when
-w(alpha_i) < 0 and l(w) + 1 otherwise (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, 1.6 and 4.4), so everything built by ``from_word`` or
-``inverse`` arrives with its length.  Any other element (a product, a
-translation) strips a reduced word on its first ``length()`` and keeps
-the result.
+w(alpha_i) < 0 and l(w) + 1 otherwise, so everything built by
+``from_word`` or ``inverse`` arrives with its length.  Any other element
+(a product, a translation) strips a reduced word on its first
+``length()`` and keeps the result; ``reduced_word`` checks a carried
+length against the stripped one.
 """
 
 from __future__ import annotations
 
 import functools
 from math import factorial
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .rootsys import (
@@ -93,25 +108,29 @@ class AffineWeylElement:
         return AffineWeylElement(self.group, tuple(self.act(col) for col in other.cols))
 
     def mul_simple_right(self, node: int) -> "AffineWeylElement":
-        """self * s_node as an O(rank^2) column update, carrying a known length."""
+        """self * s_node: only the columns of the node's Cartan neighbours change.
+
+        Carries a known length, -1 when w(alpha_node) < 0 and +1 otherwise.
+        """
         idx = self.group.diagram.index(node)
-        row = self.group.diagram.cartan[idx]
         pivot = self.cols[idx]
-        cols = tuple(
-            col if row[b] == 0 else tuple(x - row[b] * y for x, y in zip(col, pivot))
-            for b, col in enumerate(self.cols))
+        cols = list(self.cols)
+        for b, c in self.group._cartan_row[idx]:
+            cols[b] = tuple(x - c * y for x, y in zip(cols[b], pivot))
         length = self._len
         if length is not None:
             length += -1 if min(pivot) < 0 else 1
-        return AffineWeylElement(self.group, cols, length)
+        return AffineWeylElement(self.group, tuple(cols), length)
 
     def mul_simple_left(self, node: int) -> "AffineWeylElement":
-        """s_node * self as an O(rank^2) entry update."""
+        """s_node * self: entry ``node`` of each column drops by its alpha_node^vee pairing."""
         idx = self.group.diagram.index(node)
-        row = self.group.diagram.cartan[idx]
+        terms = self.group._cartan_row[idx]
         cols = []
         for col in self.cols:
-            coeff = sum(r * c for r, c in zip(row, col) if r and c)
+            coeff = 0
+            for r, c in terms:
+                coeff += c * col[r]
             if coeff:
                 col = col[:idx] + (col[idx] - coeff,) + col[idx + 1:]
             cols.append(col)
@@ -144,17 +163,31 @@ class AffineWeylElement:
         return None
 
     def reduced_word(self) -> tuple[int, ...]:
-        """Deterministic reduced word (smallest descent stripped first)."""
+        """Deterministic reduced word (smallest descent stripped first).
+
+        Stripped on mu = w^{-1}(rho), as the module docstring explains.
+        """
         if self._word is None:
+            group = self.group
+            d = group.diagram.symmetrizer
+            mu = []
+            for col, di in zip(self.cols, d):
+                height, rem = divmod(sum(map(mul, col, d)), di)
+                assert rem == 0, "coroot height is not integral"
+                mu.append(height)
+            cartan_col = group._cartan_col
+            first = group.diagram.nodes[0]
             trace = []
-            x = self
             while True:
-                node = x.first_right_descent()
-                if node is None:
+                for j, m in enumerate(mu):
+                    if m < 0:
+                        break
+                else:
                     break
-                x = x.mul_simple_right(node)
-                trace.append(node)
-            assert x.is_identity()
+                for i, c in cartan_col[j]:
+                    mu[i] -= m * c
+                trace.append(first + j)
+            assert all(m == 1 for m in mu), "strip does not end on rho"
             assert self._len is None or self._len == len(trace), "carried length is wrong"
             self._word = tuple(reversed(trace))
         return self._word
@@ -207,8 +240,11 @@ class AffineWeylElement:
 class WeylGroup:
     """Weyl group of a Dynkin diagram, with shared caches per diagram.
 
-    ``_bruhat_memo`` holds ``bruhat_leq`` results and ``_longest`` the
-    parabolic longest elements by sorted node tuple.
+    ``_cartan_row[i]`` and ``_cartan_col[j]`` list the nonzero Cartan
+    entries of a row and of a column as (index, entry) pairs, for the
+    simple products and the reduced-word strip; ``_bruhat_memo`` holds
+    ``bruhat_leq`` results and ``_longest`` the parabolic longest
+    elements by sorted node tuple.
     """
 
     _instances: dict[DynkinDiagram, "WeylGroup"] = {}
@@ -225,6 +261,11 @@ class WeylGroup:
     def _setup(self, diagram: DynkinDiagram) -> None:
         self.diagram = diagram
         n = len(diagram.nodes)
+        cartan = diagram.cartan
+        self._cartan_row = tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                                 for row in cartan)
+        self._cartan_col = tuple(tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
+                                 for j in range(n))
         self.identity = AffineWeylElement(
             self, tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n)), 0)
         self.identity._word = ()

@@ -16,7 +16,13 @@ from cograss.checks import (
 )
 from cograss.cominuscule import build_context
 from cograss.rootsys import is_positive_vec
-from cograss.weyl import bruhat_leq, enumerate_min_reps, min_rep, positive_roots_of
+from cograss.weyl import (
+    AffineWeylElement,
+    bruhat_leq,
+    enumerate_min_reps,
+    min_rep,
+    positive_roots_of,
+)
 
 RANK4_PAIRS = list(cominuscule_pairs(4))
 
@@ -82,6 +88,33 @@ def test_shift_check_exhaustive_a3(a3ctx):
     reps = enumerate_min_reps(a3ctx.group, a3ctx.finite_nodes, a3ctx.levi_nodes)
     assert len(reps) == 6
     assert all(conormal.shift_check(a3ctx, w) for w in reps)
+
+
+def test_dual_products_and_roots_are_built_once(a3ctx, monkeypatch):
+    reps = sorted(enumerate_min_reps(a3ctx.group, a3ctx.finite_nodes, a3ctx.levi_nodes),
+                  key=lambda x: x.cols)
+    duals = {w: conormal.twisted_dual(a3ctx, w) for w in reps}
+    products, root_calls = [], []
+    real_mul, real_roots = AffineWeylElement.__mul__, conormal.conormal_roots
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return real_mul(self, other)
+
+    def counting_roots(ctx, w):
+        root_calls.append(w)
+        return real_roots(ctx, w)
+
+    monkeypatch.setattr(AffineWeylElement, "__mul__", counting_mul)
+    monkeypatch.setattr(conormal, "conormal_roots", counting_roots)
+    for w in reps:
+        root_calls.clear()
+        assert conormal.shift_check(a3ctx, w)
+        assert root_calls == [w]
+        products.clear()
+        report = conormal.closure_is_schubert(a3ctx, w)
+        assert products.count((w, duals[w])) == 1
+        assert report.v == duals[w] and report.wv == real_mul(w, duals[w])
 
 
 def test_is_smooth_identity_and_top(a3ctx):

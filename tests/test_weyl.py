@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cograss.cominuscule import build_context
 from cograss.rootsys import (
     build_diagram,
     inner_form,
@@ -464,3 +465,67 @@ def test_foreign_node_label_is_rejected(series, rank, affine, label):
         x.has_right_descent(label)
     with pytest.raises(ValueError, match=f"{label} is not a node"):
         is_min_rep(x, [label])
+
+
+# -- reduced words on the rho vector and sparse products against the column strip ---------
+
+RHO_STRIP_FINITE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                    ("C", 2), ("C", 3), ("D", 4)]
+RHO_STRIP_AFFINE = [("A", 1), ("B", 2), ("C", 2), ("A", 3), ("C", 3), ("B", 4), ("D", 5),
+                    ("E", 6), ("E", 7), ("E", 8), ("B", 8), ("C", 8)]
+
+
+def column_strip_word(x):
+    """Oracle: strip ``first_right_descent`` by ``mul_simple_right`` until the identity."""
+    trace = []
+    while (node := x.first_right_descent()) is not None:
+        x = x.mul_simple_right(node)
+        trace.append(node)
+    assert x.is_identity()
+    return tuple(reversed(trace))
+
+
+def rho_strip_cases(series, rank, affine):
+    g = group_of(series, rank, affine)
+    if not affine:
+        return g, sorted(weyl_elements(g, g.diagram.nodes), key=lambda x: x.cols)
+    nodes = g.diagram.nodes
+    rng = random.Random(f"rho {series}{rank}")
+    return g, [g.from_word(rng.choice(nodes) for _ in range(rng.randrange(61)))
+               for _ in range(300)]
+
+
+@pytest.mark.parametrize("series, rank, affine",
+                         [(s, r, False) for s, r in RHO_STRIP_FINITE]
+                         + [(s, r, True) for s, r in RHO_STRIP_AFFINE])
+def test_rho_strip_and_sparse_products_match_column_oracle(series, rank, affine):
+    g, elements = rho_strip_cases(series, rank, affine)
+    for w in elements:
+        fresh = w * g.identity
+        assert fresh._word is None and fresh._len is None
+        word = column_strip_word(fresh)
+        assert fresh.reduced_word() == word
+        assert w.length() == len(word)
+        for s in g.diagram.nodes:
+            right = w.mul_simple_right(s)
+            assert right == w * g.simple[s]
+            assert right.length() == len(column_strip_word(right * g.identity))
+            assert w.mul_simple_left(s) == g.simple[s] * w
+
+
+def test_stripping_builds_no_element(monkeypatch):
+    ctx = build_context("E", 7, 7)
+    reps = sorted(enumerate_min_reps(ctx.group, ctx.finite_nodes, ctx.levi_nodes),
+                  key=lambda x: x.cols)
+    products = [ctx.w0 * w * ctx.w_levi for w in reps]
+    expected = [column_strip_word(x * ctx.group.identity) for x in products]
+
+    def refuse(self, node):
+        raise AssertionError("stripping must not build intermediate elements")
+
+    monkeypatch.setattr(AffineWeylElement, "mul_simple_right", refuse)
+    for w, word in zip(reps, expected):
+        x = ctx.w0 * w * ctx.w_levi
+        assert x.length() == len(word)
+        assert x.reduced_word() == word
+        assert x.support() == frozenset(word)

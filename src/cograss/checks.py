@@ -27,11 +27,11 @@ from . import conormal, detvar
 from .cominuscule import CominusculeContext, build_context, cominuscule_nodes
 from .rootsys import build_diagram, inner_form
 from .weyl import (
+    WeylGroup,
     bruhat_leq,
     bruhat_interval_check,
     demazure,
     enumerate_min_reps,
-    longest_element,
     min_rep,
     positive_roots_of,
     weyl_elements,
@@ -148,10 +148,10 @@ def check_min_rep_sets(ctx: CominusculeContext) -> bool:
     if wd_levi != wd_finite:
         return False
     for w in w0_levi:
-        v = conormal.twisted_dual(ctx, w)  # asserts v in W_d^0 and the lengths
+        v, wv = conormal._dual_pair(ctx, w)  # asserts v in W_d^0 and the lengths
         if v not in wd_finite:
             return False
-        if not (w * v).length() == w.length() + v.length() == ctx.dim_quotient:
+        if not wv.length() == w.length() + v.length() == ctx.dim_quotient:
             return False
     return True
 
@@ -207,18 +207,15 @@ def check_shift_root_bijection(ctx: CominusculeContext) -> bool:
     d = ctx.cominuscule_node
     upstairs = {alpha for alpha in positive_roots_of(ctx.group, ctx.finite_nodes)
                 if alpha[d] >= 1}
-    downstairs = {tuple(-x for x in beta)
-                  for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes)
-                  if beta[0] >= 1}
     shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in upstairs}
-    return shifted == downstairs and len(upstairs) == ctx.dim_quotient
+    return (shifted == set(conormal._shifted_cotangent_roots(ctx))
+            and len(upstairs) == ctx.dim_quotient)
 
 
 # -- oracle-level checks -----------------------------------------------------------
 
 
 def check_bruhat_oracle(series: str, rank: int) -> bool:
-    from .weyl import WeylGroup
     group = WeylGroup(build_diagram(series, rank))
     elements = sorted(weyl_elements(group, group.diagram.nodes),
                       key=lambda w: (w.length(), w.reduced_word()))
@@ -230,7 +227,6 @@ def check_bruhat_oracle(series: str, rank: int) -> bool:
 
 
 def check_demazure_associativity(series: str, rank: int) -> bool:
-    from .weyl import WeylGroup
     group = WeylGroup(build_diagram(series, rank))
     elements = sorted(weyl_elements(group, group.diagram.nodes),
                       key=lambda w: (w.length(), w.reduced_word()))
@@ -245,7 +241,6 @@ def check_demazure_associativity(series: str, rank: int) -> bool:
 
 def check_length_vee(series: str, rank: int) -> bool:
     """l(vw) = l(v) + l(w) iff the Demazure product is the plain product."""
-    from .weyl import WeylGroup
     group = WeylGroup(build_diagram(series, rank))
     elements = weyl_elements(group, group.diagram.nodes)
     for v in elements:
@@ -258,7 +253,6 @@ def check_length_vee(series: str, rank: int) -> bool:
 
 def check_type_d_length_agreement(n: int) -> bool:
     """Matrix-model length equals the signed-permutation inversion statistic."""
-    from .weyl import WeylGroup
     group = WeylGroup(build_diagram("D", n))
     seen = {detvar.identity_perm(n)}
     frontier = [detvar.identity_perm(n)]
@@ -307,26 +301,8 @@ def check_braid_embedding(n: int) -> bool:
 
 
 def check_detvar_factorizations(n: int) -> bool:
-    from .weyl import WeylGroup
-    group = WeylGroup(build_diagram("D", n))
-    for r in range(0, detvar.even_rank(n) + 1, 2):
-        detvar.skew_rank_element(n, r)  # asserts the chain factorization
-        dual = (detvar.longest_perm(n) * detvar.skew_rank_element(n, r)
-                * detvar.levi_longest_perm(n))
-        if dual.values != detvar.dual_stratum_string(n, r):
-            return False
-        if r < detvar.even_rank(n):
-            span = tuple(range(r + 1, n + 1))
-            levi = tuple(range(1, n))
-            expected = min_rep(longest_element(group, span), levi)
-            if group.from_word(detvar.perm_to_word(dual)) != expected:
-                return False
-        chained = detvar.identity_perm(n)
-        for i in range(detvar.even_rank(n) - 1, r, -2):
-            chained = chained * detvar.chain_perm(n, i)
-        if chained != dual:
-            return False
-    return True
+    return all(detvar.dual_stratum_holds(n, r)
+               for r in range(0, detvar.even_rank(n) + 1, 2))
 
 
 def check_fibre_rank(n: int, r: int) -> bool:

@@ -55,9 +55,6 @@ class CominusculeContext:
     translation_element: AffineWeylElement
     dim_quotient: int
 
-    def iota_node(self, node: int) -> int:
-        return self.involution[node]
-
     def iota_root(self, vec: Vector) -> Vector:
         """Apply the diagram involution to a lattice vector."""
         out = [0] * len(vec)

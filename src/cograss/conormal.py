@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import rootsys
 from .cominuscule import CominusculeContext
-from .rootsys import Vector, is_negative_vec, is_positive_vec, support_of
+from .rootsys import Vector, is_negative_vec, is_positive_vec
 from .weyl import (
     AffineWeylElement,
     bruhat_leq,
@@ -145,10 +145,9 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
             raise ValueError(
                 f"element is not minimal over the finite nodes: descent at {node}")
 
-    levi = set(ctx.levi_nodes)
     supp = tuple(sorted(u.support()))
     w_supp = longest_element(ctx.group, supp)
-    w_supp_levi = longest_element(ctx.group, set(supp) & levi)
+    w_supp_levi = longest_element(ctx.group, set(supp) & set(ctx.levi_nodes))
     u_wlevi = u * ctx.w_levi
 
     c6 = u == w_supp * w_supp_levi
@@ -158,9 +157,7 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
 
     supp_roots = positive_roots_of(ctx.group, supp)
     inversions = {alpha for alpha in supp_roots if is_negative_vec(u.act(alpha))}
-    expected = {alpha for alpha in supp_roots
-                if not support_of(ctx.affine_diagram, alpha) <= levi}
-    c5 = inversions == expected
+    c5 = inversions == {alpha for alpha in supp_roots if alpha[0]}  # leaves the Levi
 
     report = SmoothnessReport(c3=c3, c4=c4, c5=c5, c6=c6, support=supp,
                               witness=(w_supp, w_supp_levi))
@@ -241,10 +238,13 @@ def fibre_maximal(ctx: CominusculeContext,
 
 
 def _shifted_cotangent_roots(ctx: CominusculeContext) -> list[Vector]:
-    """psi: the negated affine-Levi positive roots whose support leaves the Levi."""
+    """psi: the negated affine-Levi positive roots whose support leaves the Levi.
+
+    The affine Levi nodes are the Levi nodes and 0, so such a root leaves
+    the Levi exactly when its alpha_0 coefficient is nonzero.
+    """
     psi = [tuple(-x for x in beta)
-           for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes)
-           if not support_of(ctx.affine_diagram, beta) <= set(ctx.levi_nodes)]
+           for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes) if beta[0]]
     assert len(psi) == ctx.dim_quotient
     return psi
 

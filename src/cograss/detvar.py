@@ -31,6 +31,7 @@ one-line forms and stratum elements.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -193,8 +194,9 @@ def chain_word(n: int, i: int) -> tuple[int, ...]:
     return word
 
 
+@functools.lru_cache(maxsize=None)
 def chain_perm(n: int, i: int) -> SignedPermutation:
-    """The chain element x_i evaluated in the S_{2n} model."""
+    """The chain element x_i evaluated in the S_{2n} model (built once per (n, i))."""
     perm = word_to_perm(n, chain_word(n, i))
     assert perm.length() == 2 * (n - 1 - i) + 1, "chain element length formula fails"
     closed = tuple(range(1, i)) + tuple(range(i + 2, n + 1)) + (2 * n - i, 2 * n - i + 1)
@@ -280,39 +282,45 @@ def element_of(ctx: CominusculeContext, perm: SignedPermutation) -> AffineWeylEl
     return ctx.group.from_word(perm_to_word(perm))
 
 
+def dual_stratum_holds(n: int, r: int) -> bool:
+    """The identities of the dual stratum w0 * w_r * w_levi, r even.
+
+    Its one-line form is ``dual_stratum_string(n, r)``; in the affine D_n
+    group with the fork marked it is min_rep(w_{r+1..n}, levi) below the
+    top rank and the identity at it (the stratum is then the whole space);
+    and it factors into the chain elements x_{nbar-1} x_{nbar-3} ... x_{r+1}.
+    """
+    nbar = even_rank(n)
+    ctx = build_context("D", n, n)
+    dual = longest_perm(n) * skew_rank_element(n, r) * levi_longest_perm(n)
+    if r < nbar:
+        expected = min_rep(longest_element(ctx.group, range(r + 1, n + 1)), ctx.levi_nodes)
+    else:
+        expected = ctx.group.identity
+    chained = identity_perm(n)
+    for i in range(nbar - 1, r, -2):
+        chained = chained * chain_perm(n, i)
+    return (dual.values == dual_stratum_string(n, r)
+            and element_of(ctx, dual) == expected and chained == dual)
+
+
 def fibre_rank(n: int, r: int) -> tuple[int, SignedPermutation]:
     """Rank of the conormal fibre at the zero matrix, with its witness.
 
-    Runs the whole pipeline: checks the dual stratum string identity and
-    its parabolic minimal-representative form, requires the Schubert
-    closure predicate, and matches the unique Bruhat-maximal fibre label
-    (the parabolic map, no enumeration) against the involution image of
-    the co-rank stratum.
+    Runs the whole pipeline: requires the dual stratum identities
+    (``dual_stratum_holds``) and the Schubert closure predicate, and
+    matches the unique Bruhat-maximal fibre label (the parabolic map, no
+    enumeration) against the involution image of the co-rank stratum.
     """
     perm = skew_rank_element(n, r)
     nbar = even_rank(n)
     ctx = build_context("D", n, n)
-    w = element_of(ctx, perm)
-
-    dual = longest_perm(n) * perm * levi_longest_perm(n)
-    assert dual.values == dual_stratum_string(n, r), "dual stratum string fails"
-    if r < nbar:
-        span = tuple(range(r + 1, n + 1))
-        assert element_of(ctx, dual) == min_rep(longest_element(ctx.group, span),
-                                                ctx.levi_nodes), \
-            "dual stratum is not the parabolic minimal representative"
-    else:
-        # top rank: the stratum is the whole space and the dual is trivial
-        assert dual.is_identity()
-
-    chained = identity_perm(n)
-    for i in range(nbar - 1, r, -2):
-        chained = chained * chain_perm(n, i)
-    assert chained == dual, "chain factorization of the dual stratum fails"
+    if not dual_stratum_holds(n, r):
+        raise AssertionError("dual stratum identities fail")
 
     witness = skew_rank_element(n, nbar - r)
     expected_max = ctx.iota_elem(element_of(ctx, witness))
-    fibre = conormal.fibre_maximal(ctx, w)
+    fibre = conormal.fibre_maximal(ctx, element_of(ctx, perm))
     assert fibre == frozenset({expected_max}), \
         "fibre maximum does not match the involuted co-rank stratum"
     return nbar - r, witness

@@ -314,10 +314,6 @@ def is_negative_vec(vec: Sequence[int]) -> bool:
     return any(vec) and all(x <= 0 for x in vec)
 
 
-def support_of(diagram: DynkinDiagram, vec: Sequence[int]) -> frozenset[int]:
-    return frozenset(node for node in diagram.nodes if vec[diagram.index(node)])
-
-
 @functools.lru_cache(maxsize=None)
 def _positive_roots_cached(diagram: DynkinDiagram,
                            nodes: tuple[int, ...]) -> frozenset[Vector]:

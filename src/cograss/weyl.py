@@ -45,7 +45,6 @@ length against the stripped one.
 from __future__ import annotations
 
 import functools
-from math import factorial
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -510,62 +509,18 @@ def weyl_elements(group: WeylGroup, nodes: Iterable[int]) -> frozenset[AffineWey
 
 
 def weyl_order(diagram: DynkinDiagram, nodes: Iterable[int]) -> int:
-    """|W_nodes| via classification of the connected components."""
-    remaining = set(finite_type_nodes(diagram, nodes))
-    total = 1
-    while remaining:
-        comp = {min(remaining)}
-        stack = [min(remaining)]
-        while stack:
-            i = stack.pop()
-            for j in tuple(remaining - comp):
-                if diagram.entry(i, j) != 0:
-                    comp.add(j)
-                    stack.append(j)
-        remaining -= comp
-        total *= _component_order(diagram, tuple(sorted(comp)))
-    return total
+    """|W_nodes| = prod over alpha in Phi+_nodes of (ht alpha + 1) / ht alpha.
 
-
-def _component_order(diagram: DynkinDiagram, comp: tuple[int, ...]) -> int:
-    k = len(comp)
-    double = [(i, j) for i in comp for j in comp
-              if i < j and diagram.entry(i, j) * diagram.entry(j, i) >= 2]
-    if double:
-        if diagram.entry(double[0][0], double[0][1]) * diagram.entry(double[0][1], double[0][0]) >= 4:
-            raise ValueError("component is not of finite type")
-        return (2 ** k) * factorial(k)  # B_k / C_k
-    degrees = {i: sum(1 for j in comp if j != i and diagram.entry(i, j) != 0) for i in comp}
-    branches = [i for i, deg in degrees.items() if deg == 3]
-    if not branches:
-        return factorial(k + 1)  # A_k
-    if len(branches) > 1:
-        raise ValueError("component is not of finite type")
-    arms = sorted(_arm_lengths(diagram, comp, branches[0]))
-    if arms[0] == 1 and arms[1] == 1:
-        return (2 ** (k - 1)) * factorial(k)  # D_k
-    exceptional = {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}
-    try:
-        return exceptional[tuple(arms)]
-    except KeyError:
-        raise ValueError("component is not of finite type") from None
-
-
-def _arm_lengths(diagram: DynkinDiagram, comp: tuple[int, ...], centre: int) -> list[int]:
-    lengths = []
-    for start in comp:
-        if start == centre or diagram.entry(centre, start) == 0:
-            continue
-        length, prev, cur = 1, centre, start
-        while True:
-            nxt = [j for j in comp
-                   if j not in (prev, cur) and diagram.entry(cur, j) != 0]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        lengths.append(length)
-    return lengths
+    The q = 1 value of P_W(q) = prod (1 - q^{ht alpha + 1}) / (1 - q^{ht alpha})
+    (Macdonald, "The Poincare series of a Coxeter group", Math. Ann. 199,
+    1972), taken as one exact integer quotient.
+    """
+    num = den = 1
+    for alpha in positive_roots(diagram, nodes):
+        height = sum(alpha)
+        num *= height + 1
+        den *= height
+    return num // den
 
 
 def bruhat_interval_check(u: AffineWeylElement, w: AffineWeylElement) -> bool:

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import time
 from pathlib import Path
 
@@ -108,3 +109,22 @@ def test_finite_type_check_runs_once_per_node_set(monkeypatch):
 def test_longest_element_is_built_once_per_node_set():
     group = WeylGroup(build_diagram("D", 4, affine=True))
     assert longest_element(group, (1, 2, 3)) is longest_element(group, [3, 1, 2, 1])
+
+
+GOLDEN_SWEEP = json.loads((REPO / "perfbench" / "golden" / "verify-sweep.json").read_text())
+
+
+def _golden_rank(params):
+    """The rank in ``X<r> d=...`` or ``n=<r> ...``."""
+    head = params.split()[0]
+    return int(head[2:] if head.startswith("n=") else head[1:])
+
+
+@pytest.mark.parametrize("suite", sorted(checks.SUITES))
+def test_verify_report_matches_golden_records(suite):
+    """The rank-5 report of each suite is the golden rank-7 report cut at rank 5
+    (the oracle records carry no rank and are all kept)."""
+    expected = [tuple(rec) for rec in GOLDEN_SWEEP["suites"][suite]
+                if suite == "oracles" or _golden_rank(rec[1]) <= 5]
+    report = run_suite(suite, 5)
+    assert [(c.check_id, c.params, c.passed) for c in report.checks] == expected

@@ -265,6 +265,30 @@ def test_inversion_partition(a3ctx):
         assert len(picked) + len(dropped) == a3ctx.dim_quotient
 
 
+ALPHA0_PAIRS = list(cominuscule_pairs(6)) + [p for p in cominuscule_pairs(7, True)
+                                              if p[:2] == ("E", 7)]
+
+
+@pytest.mark.parametrize("pair", ALPHA0_PAIRS, ids=lambda p: "%s%d d=%d" % p)
+def test_alpha0_test_matches_support_definition(pair):
+    """psi and the c5 set test the alpha_0 coefficient; the definitions ask
+    whether the support of the root leaves the Levi."""
+    ctx = build_context(*pair)
+    levi = set(ctx.levi_nodes)
+
+    def off_levi(roots):
+        return {alpha for alpha in roots
+                if not {i for i, c in zip(ctx.affine_diagram.nodes, alpha) if c} <= levi}
+
+    psi = conormal._shifted_cotangent_roots(ctx)
+    assert sorted(psi) == sorted(tuple(-x for x in beta) for beta in
+                                 off_levi(positive_roots_of(ctx.group, ctx.affine_levi_nodes)))
+    for u in enumerate_min_reps(ctx.group, ctx.affine_levi_nodes, ctx.finite_nodes):
+        supp_roots = positive_roots_of(ctx.group, u.support())
+        inversions = {alpha for alpha in supp_roots if not is_positive_vec(u.act(alpha))}
+        assert conormal.is_smooth(ctx, u).c5 == (inversions == off_levi(supp_roots))
+
+
 @pytest.mark.parametrize("series,rank,d", RANK4_PAIRS)
 def test_pipeline_sweeps_rank4(series, rank, d):
     ctx = build_context(series, rank, d)

@@ -1,6 +1,7 @@
 """Weyl group arithmetic: action, length, Bruhat order, Demazure product."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from cograss.rootsys import (
     is_negative_vec,
     is_positive_vec,
     positive_roots,
-    support_of,
 )
 from cograss.weyl import (
     AffineWeylElement,
@@ -353,7 +353,7 @@ def test_support_lemma_exhaustive(series, rank):
         supp = w.support()
         for alpha in roots:
             if not is_positive_vec(w.act(alpha)):
-                assert support_of(g.diagram, alpha) <= supp
+                assert {node for node, c in zip(g.diagram.nodes, alpha) if c} <= supp
 
 
 # -- enumeration ------------------------------------------------------------------------
@@ -373,11 +373,30 @@ def test_enumerate_min_reps_with_bound():
     assert reps == frozenset({g.identity, g.simple[2]})
 
 
+CLASSICAL_ORDERS = {
+    "A": lambda n: math.factorial(n + 1),
+    "B": lambda n: 2 ** n * math.factorial(n),
+    "C": lambda n: 2 ** n * math.factorial(n),
+    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
+}
+
+
 def test_weyl_order_matches_enumeration():
+    """The height product against the classical orders and full enumeration."""
     for series, rank in [("A", 3), ("B", 3), ("C", 2), ("D", 4)]:
         g = group_of(series, rank)
         assert weyl_order(g.diagram, g.diagram.nodes) == \
             len(weyl_elements(g, g.diagram.nodes))
+    for series, low in [("A", 1), ("B", 2), ("C", 2), ("D", 4)]:
+        for rank in range(low, 9):
+            d = build_diagram(series, rank)
+            assert weyl_order(d, d.nodes) == CLASSICAL_ORDERS[series](rank)
+    for series, rank in [("A", 3), ("B", 3), ("C", 3), ("D", 4)]:
+        g = group_of(series, rank, affine=True)
+        nodes = g.diagram.nodes
+        for k in range(len(nodes)):  # every proper subset is of finite type
+            for sub in itertools.combinations(nodes, k):
+                assert weyl_order(g.diagram, sub) == len(weyl_elements(g, sub)), sub
     d4t = group_of("D", 4, affine=True)
     assert weyl_order(d4t.diagram, (0, 1, 2, 3)) == 192  # D4-shaped subset
     assert weyl_order(d4t.diagram, (0, 2)) == 6

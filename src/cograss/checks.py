@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional
 
 from . import conormal, detvar
 from .cominuscule import CominusculeContext, build_context, cominuscule_nodes
-from .rootsys import build_diagram, inner_form
+from .rootsys import _E_RANKS, _RANK_BOUNDS, build_diagram, inner_form
 from .weyl import (
     WeylGroup,
     bruhat_leq,
@@ -65,30 +65,20 @@ class VerificationReport:
 
 def cominuscule_pairs(max_rank: int, include_e7: bool = False,
                       ) -> Iterator[tuple[str, int, int]]:
-    """All cominuscule (series, rank, node) triples up to a rank cap."""
-    for n in range(1, max_rank + 1):
-        for d in cominuscule_nodes("A", n):
-            yield ("A", n, d)
-    for series in ("B", "C"):
-        for n in range(2, max_rank + 1):
+    """All cominuscule (series, rank, node) triples up to a rank cap (E7 opt-in)."""
+    ranks = [(series, range(low, max_rank + 1)) for series, low in _RANK_BOUNDS.items()]
+    ranks.append(("E", [n for n in _E_RANKS if n <= max_rank and (include_e7 or n != 7)]))
+    for series, span in ranks:
+        for n in span:
             for d in cominuscule_nodes(series, n):
                 yield (series, n, d)
-    for n in range(4, max_rank + 1):
-        for d in cominuscule_nodes("D", n):
-            yield ("D", n, d)
-    if max_rank >= 6:
-        for d in cominuscule_nodes("E", 6):
-            yield ("E", 6, d)
-    if include_e7 and max_rank >= 7:
-        for d in cominuscule_nodes("E", 7):
-            yield ("E", 7, d)
 
 
 # -- per-context checks ----------------------------------------------------------
 
 
 def check_wsontheta(ctx: CominusculeContext) -> bool:
-    d, group = ctx.cominuscule_node, ctx.group
+    d = ctx.cominuscule_node
     ok = ctx.w_levi.act(ctx.simple_root(d)) == ctx.highest_root_finite
     ok &= ctx.w_levi.act(ctx.simple_root(0)) == ctx.highest_root_affine_levi
     return ok
@@ -109,10 +99,12 @@ def check_form_invariance(ctx: CominusculeContext) -> bool:
 
 
 def check_iota_conjugation(ctx: CominusculeContext) -> bool:
-    """iota(s_alpha) acts on the root lattice as iota o s_alpha o iota."""
+    """iota(s_i) = s_iota(i), and it acts on the root lattice as iota o s_i o iota."""
     group = ctx.group
     for node in ctx.affine_diagram.nodes:
         twisted = ctx.iota_elem(group.simple[node])
+        if twisted != group.simple[ctx.involution[node]]:
+            return False
         for other in ctx.affine_diagram.nodes:
             vec = ctx.simple_root(other)
             direct = twisted.act(vec)
@@ -135,21 +127,15 @@ def check_translation_identity(ctx: CominusculeContext) -> bool:
 
 
 def check_min_rep_sets(ctx: CominusculeContext) -> bool:
-    """Set equalities between the two descriptions of each quotient side."""
+    """W^P = W & W^{aff Levi}, W_d^0 = W_{aff Levi} & W^{levi}, and v in W_d^0."""
     group = ctx.group
-    finite, levi = ctx.finite_nodes, ctx.levi_nodes
-    affine_levi = ctx.affine_levi_nodes
-    w0_levi = enumerate_min_reps(group, finite, levi)
-    w0_affine = enumerate_min_reps(group, finite, affine_levi)
-    if w0_levi != w0_affine:
+    if ctx.min_reps != enumerate_min_reps(group, ctx.finite_nodes, ctx.affine_levi_nodes):
         return False
-    wd_levi = enumerate_min_reps(group, affine_levi, levi)
-    wd_finite = enumerate_min_reps(group, affine_levi, finite)
-    if wd_levi != wd_finite:
+    if ctx.dual_min_reps != enumerate_min_reps(group, ctx.affine_levi_nodes, ctx.levi_nodes):
         return False
-    for w in w0_levi:
+    for w in ctx.min_reps:
         v, wv = conormal._dual_pair(ctx, w)  # asserts v in W_d^0 and the lengths
-        if v not in wd_finite:
+        if v not in ctx.dual_min_reps:
             return False
         if not wv.length() == w.length() + v.length() == ctx.dim_quotient:
             return False
@@ -158,16 +144,14 @@ def check_min_rep_sets(ctx: CominusculeContext) -> bool:
 
 def check_connected_support(ctx: CominusculeContext) -> bool:
     from .rootsys import is_connected
-    group = ctx.group
-    for u in enumerate_min_reps(group, ctx.affine_levi_nodes, ctx.finite_nodes):
+    for u in ctx.dual_min_reps:
         if not u.is_identity() and not is_connected(ctx.affine_diagram, u.support()):
             return False
     return True
 
 
 def check_smoothness_criteria(ctx: CominusculeContext) -> bool:
-    group = ctx.group
-    for u in enumerate_min_reps(group, ctx.affine_levi_nodes, ctx.finite_nodes):
+    for u in ctx.dual_min_reps:
         report = conormal.is_smooth(ctx, u)  # raises if the criteria disagree
         if not (report.c3 == report.c4 == report.c5 == report.c6):
             return False
@@ -175,15 +159,12 @@ def check_smoothness_criteria(ctx: CominusculeContext) -> bool:
 
 
 def check_shift_bijection(ctx: CominusculeContext) -> bool:
-    group = ctx.group
-    return all(conormal.shift_check(ctx, w)
-               for w in enumerate_min_reps(group, ctx.finite_nodes, ctx.levi_nodes))
+    return all(conormal.shift_check(ctx, w) for w in ctx.min_reps)
 
 
 def check_main_predicate(ctx: CominusculeContext) -> bool:
     """Schubert-closure predicate vs criterion (6), with length bookkeeping."""
-    group = ctx.group
-    for w in enumerate_min_reps(group, ctx.finite_nodes, ctx.levi_nodes):
+    for w in ctx.min_reps:
         report = conormal.closure_is_schubert(ctx, w)
         if report.closure_is_schubert != report.smooth.c6:
             return False

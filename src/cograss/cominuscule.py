@@ -5,8 +5,9 @@ in the highest root) is 1.  Fixing such a node d determines the whole
 setup used downstream: the Levi node set J (finite nodes minus d), the
 affine Levi node set (all affine nodes minus d), the diagram involution
 swapping node 0 with node d, the longest elements of the three parabolic
-subgroups, and the distinguished translation element of the affine Weyl
-group.
+subgroups, the distinguished translation element of the affine Weyl
+group, and, built on first use, the coset sets W^P (indexing X(w) in G/P)
+and W_d^0 (holding the twisted duals).
 
 The involution is computed from the negated longest Levi element, never
 from case tables; the type-D closed form is a test downstream.  The
@@ -26,6 +27,7 @@ from .rootsys import DynkinDiagram, Vector, build_diagram
 from .weyl import (
     AffineWeylElement,
     WeylGroup,
+    enumerate_min_reps,
     longest_element,
     min_rep,
     positive_roots_of,
@@ -64,10 +66,25 @@ class CominusculeContext:
         return tuple(out)
 
     def iota_elem(self, w: AffineWeylElement) -> AffineWeylElement:
-        """Conjugation by the involution, through letterwise relabelling."""
+        """Conjugation by the involution: column iota(k) is iota_root(column k).
+
+        A diagram automorphism preserves length, so w's length is carried."""
         if w.group is not self.group:
             raise ValueError("element does not live in this context's Weyl group")
-        return self.group.from_word(self.involution[i] for i in w.reduced_word())
+        cols = [None] * len(w.cols)
+        for k, col in enumerate(w.cols):
+            cols[self.involution[k]] = self.iota_root(col)
+        return AffineWeylElement(self.group, tuple(cols), w._len)
+
+    @functools.cached_property
+    def min_reps(self) -> frozenset[AffineWeylElement]:
+        """W^P: minimal representatives of the finite Weyl group over the Levi."""
+        return enumerate_min_reps(self.group, self.finite_nodes, self.levi_nodes)
+
+    @functools.cached_property
+    def dual_min_reps(self) -> frozenset[AffineWeylElement]:
+        """W_d^0: minimal representatives of the affine Levi over the finite nodes."""
+        return enumerate_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
 
     def delta(self) -> Vector:
         return self.affine_diagram.delta

@@ -174,7 +174,8 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
     is checked against the parabolic-factorization criterion, and the
     length bookkeeping against dim G/B is asserted on the way.  The fibre
     maximum comes from the parabolic map (BFL 1999; Bjorner-Brenti Prop.
-    2.5.1); only ``full_fibre`` enumerates, the interval below that maximum.
+    2.5.1); only ``full_fibre`` (which implies ``with_fibre``) enumerates:
+    the interval below that maximum.
     """
     v, wv = _dual_pair(ctx, w)
     roots = conormal_roots(ctx, w)
@@ -191,7 +192,7 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
         "length bookkeeping does not match the predicate"
 
     fibre_max = fibre_all = None
-    if with_fibre and predicate:
+    if (with_fibre or full_fibre) and predicate:
         top = _fibre_top(ctx, wv)
         fibre_max = frozenset({top})
         if full_fibre:

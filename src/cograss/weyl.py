@@ -40,6 +40,11 @@ w(alpha_i) < 0 and l(w) + 1 otherwise, so everything built by
 (a product, a translation) strips a reduced word on its first
 ``length()`` and keeps the result; ``reduced_word`` checks a carried
 length against the stripped one.
+
+Coset sets W_S intersect W^J grow by left products alone: for u in W^J
+and a simple s, either s u is in W^J or s u = u s' with s' in J (Deodhar's
+lemma, Invent. Math. 39, 1977), so a breadth-first search keeping the left
+products in W^J climbs one length per layer and carries every length.
 """
 
 from __future__ import annotations
@@ -464,25 +469,29 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
                        ) -> frozenset[AffineWeylElement]:
     """Breadth-first enumeration of W_span intersect W^quotient.
 
-    Cardinality is checked against |W_span| / |W_{span & quotient}|; an
-    optional Bruhat upper bound filters the result afterwards.
+    Layer k holds the elements of length k; a new left product s u that
+    is minimal over the quotient lies one layer up (Deodhar's lemma,
+    Invent. Math. 39, 1977) and carries l(u) + 1.  Cardinality is checked
+    against |W_span| / |W_{span & quotient}|; an optional Bruhat upper
+    bound filters the result afterwards.
     """
     span = finite_type_nodes(group.diagram, span_nodes)
     quo = tuple(sorted(set(quotient_nodes)))
     if not set(quo) <= set(group.diagram.nodes):
         raise ValueError(f"nodes {quo} are not nodes of the diagram")
+    both = tuple(sorted(set(span) & set(quo)))  # an element of W_span descends only in span
     reps = {group.identity}
     frontier = [group.identity]
     while frontier:
         fresh = []
         for u in frontier:
             for node in span:
-                x = min_rep(u.mul_simple_left(node), quo)
-                if x not in reps:
+                x = u.mul_simple_left(node)
+                if x not in reps and is_min_rep(x, both):
+                    x._len = u._len + 1
                     reps.add(x)
                     fresh.append(x)
         frontier = fresh
-    both = tuple(sorted(set(span) & set(quo)))
     expected, order_both = weyl_order(group.diagram, span), weyl_order(group.diagram, both)
     assert expected % order_both == 0 and len(reps) == expected // order_both, \
         "minimal representative count does not match the index"
@@ -493,19 +502,7 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
 
 def weyl_elements(group: WeylGroup, nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
     """Every element of a finite-type parabolic (test-scale sweeps only)."""
-    span = finite_type_nodes(group.diagram, nodes)
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for node in span:
-                x = u.mul_simple_right(node)
-                if x not in seen:
-                    seen.add(x)
-                    fresh.append(x)
-        frontier = fresh
-    return frozenset(seen)
+    return enumerate_min_reps(group, nodes, ())
 
 
 def weyl_order(diagram: DynkinDiagram, nodes: Iterable[int]) -> int:

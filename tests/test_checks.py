@@ -1,5 +1,6 @@
 """The verify runner: one guard per instance, timing that excludes set-up."""
 
+import functools
 import importlib
 import importlib.util
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cograss import checks, rootsys, weyl
+from cograss import checks, cominuscule, conormal, rootsys, weyl
 from cograss.checks import run_suite
 from cograss.rootsys import build_diagram
 from cograss.weyl import WeylGroup, longest_element
@@ -104,6 +105,55 @@ def test_finite_type_check_runs_once_per_node_set(monkeypatch):
     monkeypatch.setattr(weyl, "finite_type_nodes", recording_nodes)
     assert run_suite("main-result", max_rank=4).all_pass
     assert 0 < len(tested) <= len(set(touched)) < len(touched)
+
+
+def test_coset_sets_are_enumerated_at_most_four_times_per_context(monkeypatch):
+    """Op-count gate: W^P and W_d^0 once each, plus the two alternative
+    descriptions of check_min_rep_sets; contexts are built fresh."""
+    real = weyl.enumerate_min_reps
+    calls = []
+
+    def counting(group, *args, **kwargs):
+        calls.append(group.diagram.affine)
+        return real(group, *args, **kwargs)
+
+    for module in (weyl, cominuscule, conormal, checks):
+        monkeypatch.setattr(module, "enumerate_min_reps", counting)
+    fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
+    monkeypatch.setattr(checks, "build_context", fresh)
+    assert run_suite("all", 5).all_pass
+    contexts = len(list(checks.cominuscule_pairs(5)))
+    assert fresh.cache_info().currsize == contexts
+    assert 0 < calls.count(True) <= 4 * contexts
+
+
+def legacy_cominuscule_pairs(max_rank, include_e7=False):
+    """Oracle: the series and rank bounds spelled out by hand."""
+    for n in range(1, max_rank + 1):
+        for d in cominuscule.cominuscule_nodes("A", n):
+            yield ("A", n, d)
+    for series in ("B", "C"):
+        for n in range(2, max_rank + 1):
+            for d in cominuscule.cominuscule_nodes(series, n):
+                yield (series, n, d)
+    for n in range(4, max_rank + 1):
+        for d in cominuscule.cominuscule_nodes("D", n):
+            yield ("D", n, d)
+    if max_rank >= 6:
+        for d in cominuscule.cominuscule_nodes("E", 6):
+            yield ("E", 6, d)
+    if include_e7 and max_rank >= 7:
+        for d in cominuscule.cominuscule_nodes("E", 7):
+            yield ("E", 7, d)
+
+
+@pytest.mark.parametrize("max_rank, include_e7, count", [
+    (0, False, 0), (3, True, 10), (6, False, 42), (7, False, 54), (7, True, 55),
+    (8, True, 68), (9, False, 81)])
+def test_cominuscule_pairs_follow_the_rank_bounds(max_rank, include_e7, count):
+    pairs = list(checks.cominuscule_pairs(max_rank, include_e7))
+    assert pairs == list(legacy_cominuscule_pairs(max_rank, include_e7))
+    assert len(pairs) == count
 
 
 def test_longest_element_is_built_once_per_node_set():

@@ -1,5 +1,7 @@
 """Cominuscule contexts: the involution, the translation element, root shifts."""
 
+import random
+
 import pytest
 
 from cograss.checks import (
@@ -11,7 +13,7 @@ from cograss.checks import (
     cominuscule_pairs,
 )
 from cograss.cominuscule import build_context, cominuscule_nodes
-from cograss.weyl import min_rep
+from cograss.weyl import AffineWeylElement, WeylGroup, min_rep
 
 RANK6_PAIRS = list(cominuscule_pairs(6))
 
@@ -68,6 +70,50 @@ def test_iota_elem_is_an_involution():
     for raw in [(), (3,), (0, 1), (2, 3, 0, 1), (1, 2, 3, 2, 1, 0)]:
         w = ctx.group.from_word(raw)
         assert ctx.iota_elem(ctx.iota_elem(w)) == w
+
+
+def relabelled(ctx, w):
+    """Oracle: iota applied letter by letter to a reduced word."""
+    return ctx.group.from_word(ctx.involution[i] for i in w.reduced_word())
+
+
+def assert_iota_matches_relabelling(ctx, w):
+    twisted = ctx.iota_elem(w)
+    assert twisted == relabelled(ctx, w)
+    assert twisted._len == w._len
+    assert twisted.length() == w.length()
+
+
+IOTA_PAIRS = RANK6_PAIRS + [p for p in cominuscule_pairs(7, True) if p[:2] == ("E", 7)]
+
+
+@pytest.mark.parametrize("pair", IOTA_PAIRS, ids=lambda p: "%s%d d=%d" % p)
+def test_iota_elem_matches_letterwise_relabelling(pair):
+    ctx = build_context(*pair)
+    for w in ctx.min_reps | ctx.dual_min_reps:
+        assert_iota_matches_relabelling(ctx, w)
+        assert_iota_matches_relabelling(ctx, w * ctx.group.identity)  # carries no length
+    rng = random.Random("iota %s%d d=%d" % pair)
+    nodes = ctx.affine_diagram.nodes
+    for _ in range(50):
+        assert_iota_matches_relabelling(
+            ctx, ctx.group.from_word(rng.choice(nodes) for _ in range(rng.randrange(40))))
+
+
+def test_iota_elem_builds_no_word(monkeypatch):
+    ctx = build_context("E", 6, 1)
+    words = [(), (0,), (1, 3, 4, 2, 0), (0, 2, 4, 3, 1, 6, 5, 4, 2, 0)]
+    fresh = [ctx.group.from_word(word) * ctx.group.identity for word in words]
+    expected = [relabelled(ctx, w * ctx.group.identity) for w in fresh]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("iota_elem must act on the matrix, not on a word")
+
+    monkeypatch.setattr(WeylGroup, "from_word", refuse)
+    monkeypatch.setattr(AffineWeylElement, "reduced_word", refuse)
+    for w, oracle in zip(fresh, expected):
+        assert w._word is None
+        assert ctx.iota_elem(w) == oracle
 
 
 def test_iota_swaps_the_two_quotients():

@@ -1,5 +1,6 @@
 """Conormal root sets, smoothness criteria, closure predicate, fibres."""
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from cograss.weyl import (
     AffineWeylElement,
     bruhat_leq,
     enumerate_min_reps,
+    longest_element,
     min_rep,
     positive_roots_of,
 )
@@ -167,6 +169,16 @@ def test_fibre_examples(a3ctx):
                                           with_fibre=True, full_fibre=True)
     assert report.fibre_all == enumerate_min_reps(
         a3ctx.group, a3ctx.affine_levi_nodes, a3ctx.finite_nodes)
+
+
+def test_full_fibre_implies_fibre(a3ctx):
+    e = a3ctx.group.identity
+    both = conormal.closure_is_schubert(a3ctx, e, with_fibre=True, full_fibre=True)
+    alone = conormal.closure_is_schubert(a3ctx, e, full_fibre=True)
+    assert alone.fibre_max == both.fibre_max == conormal.fibre_maximal(a3ctx, e)
+    assert alone.fibre_all == both.fibre_all and len(alone.fibre_all) == 6
+    refused = conormal.closure_is_schubert(a3ctx, a3ctx.group.simple[2], full_fibre=True)
+    assert refused.fibre_max is None and refused.fibre_all is None
 
 
 def test_fibre_refused_when_not_schubert(a3ctx):
@@ -330,3 +342,32 @@ def test_fibre_closed_form_matches_enumeration_oracle():
             assert report.fibre_all == fibre, (series, rank, d, w)
             cases += 1
     assert cases == 284
+
+
+def _smooth_schubert_labels(ctx):
+    """Oracle B (Brion-Polo 1999; Hong-Mok 2013): in a cominuscule G/P, X_P(x)
+    is smooth iff x = e or x = min_rep(w0^J, levi) for a connected J of the
+    finite diagram that contains the marked node."""
+    d = ctx.cominuscule_node
+    labels = {ctx.group.identity}
+    for k in range(len(ctx.levi_nodes) + 1):
+        for extra in itertools.combinations(ctx.levi_nodes, k):
+            nodes = (d,) + extra
+            if rootsys.is_connected(ctx.finite_diagram, nodes):
+                labels.add(min_rep(longest_element(ctx.group, nodes), ctx.levi_nodes))
+    return labels
+
+
+def test_closure_predicate_matches_smooth_schubert_classification():
+    """The main theorem against geometry: the closure is Schubert iff
+    X(w0 w) is smooth, decided by the classification, not by the twisted dual."""
+    counts = {True: 0, False: 0}
+    for pair in cominuscule_pairs(7, include_e7=True):
+        ctx = build_context(*pair)
+        labels = _smooth_schubert_labels(ctx)
+        for w in ctx.min_reps:
+            smooth = min_rep(ctx.w0 * w, ctx.levi_nodes) in labels
+            assert smooth == conormal.closure_is_schubert(ctx, w).closure_is_schubert, \
+                (pair, w)
+            counts[smooth] += 1
+    assert counts == {True: 434, False: 760}

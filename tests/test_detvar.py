@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cograss import conormal, detvar, weyl
+from cograss import cominuscule, conormal, detvar, weyl
 from cograss.checks import (
     check_braid_embedding,
     check_detvar_factorizations,
@@ -149,6 +149,7 @@ def test_fibre_path_never_enumerates(monkeypatch):
 
     monkeypatch.setattr(weyl, "enumerate_min_reps", refuse)
     monkeypatch.setattr(conormal, "enumerate_min_reps", refuse)
+    monkeypatch.setattr(cominuscule, "enumerate_min_reps", refuse)
     ctx = build_context("A", 3, 2)
     assert len(conormal.fibre_maximal(ctx, ctx.group.identity)) == 1
     assert detvar.fibre_rank(8, 2) == (6, detvar.skew_rank_element(8, 6))

@@ -486,6 +486,58 @@ def test_foreign_node_label_is_rejected(series, rank, affine, label):
         is_min_rep(x, [label])
 
 
+# -- enumeration against the strip-per-edge and right-product oracles ---------------------
+
+
+def min_rep_bfs(group, span, quotient):
+    """Oracle: every left product stripped by ``min_rep``, kept when new."""
+    reps, frontier = {group.identity}, [group.identity]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for node in span:
+                x = min_rep(u.mul_simple_left(node), quotient)
+                if x not in reps:
+                    reps.add(x)
+                    fresh.append(x)
+        frontier = fresh
+    return frozenset(reps)
+
+
+def right_product_bfs(group, span):
+    """Oracle: the closure of the identity under right products by span's letters."""
+    seen, frontier = {group.identity}, [group.identity]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for node in span:
+                x = u.mul_simple_right(node)
+                if x not in seen:
+                    seen.add(x)
+                    fresh.append(x)
+        frontier = fresh
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_enumeration_matches_min_rep_and_right_product_oracles(series, rank):
+    """Every proper node set is a finite-type span; every proper node set a quotient."""
+    g = group_of(series, rank, affine=True)
+    nodes = g.diagram.nodes
+    subsets = [sub for k in range(len(nodes)) for sub in itertools.combinations(nodes, k)]
+    for span in subsets:
+        elements = weyl_elements(g, span)
+        assert elements == right_product_bfs(g, span), span
+        for x in elements:
+            assert x._len is not None and x.length() == stripped_length(x)
+        for quotient in subsets:
+            reps = enumerate_min_reps(g, span, quotient)
+            assert reps == min_rep_bfs(g, span, quotient), (span, quotient)
+            for x in reps:
+                assert x._len is not None and x.length() == stripped_length(x)
+        assert enumerate_min_reps(g, span, nodes) == frozenset({g.identity})
+
+
 # -- reduced words on the rho vector and sparse products against the column strip ---------
 
 RHO_STRIP_FINITE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),

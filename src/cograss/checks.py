@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import factorial
 from typing import Callable, Iterator, Optional
 
@@ -258,25 +259,15 @@ def check_type_d_length_agreement(n: int) -> bool:
 
 
 def check_braid_embedding(n: int) -> bool:
-    """Type-D braid relations hold among the S_{2n} generator images."""
-    gens = {i: detvar.generator_perm(n, i) for i in range(1, n + 1)}
-    e = detvar.identity_perm(n)
-    for i in range(1, n + 1):
-        if gens[i] * gens[i] != e:
-            return False
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            if j - i >= 2:
-                if gens[i] * gens[j] != gens[j] * gens[i]:
-                    return False
-            elif gens[i] * gens[j] * gens[i] != gens[j] * gens[i] * gens[j]:
-                return False
-    for i in range(1, n):
-        if i == n - 2:
-            lhs = gens[n] * gens[n - 2] * gens[n]
-            if lhs != gens[n - 2] * gens[n] * gens[n - 2]:
-                return False
-        elif gens[n] * gens[i] != gens[i] * gens[n]:
+    """The S_{2n} generator images satisfy the Coxeter presentation of D_n:
+    (g_i g_j)^m = e with m = 1, 2, 3 for Cartan entry 2, 0, -1."""
+    diagram = build_diagram("D", n)
+    gens = {i: detvar.generator_perm(n, i) for i in diagram.nodes}
+    for i, j in combinations_with_replacement(diagram.nodes, 2):
+        power = detvar.identity_perm(n)
+        for _ in range({2: 1, 0: 2, -1: 3}[diagram.entry(i, j)]):
+            power = power * gens[i] * gens[j]
+        if not power.is_identity():
             return False
     return True
 

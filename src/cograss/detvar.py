@@ -156,8 +156,9 @@ def parse_perm(text: str) -> SignedPermutation:
     return SignedPermutation(len(values), values)
 
 
+@functools.lru_cache(maxsize=None)
 def skew_rank_element(n: int, r: int) -> SignedPermutation:
-    """One-line form indexing the rank <= r skew-symmetric stratum.
+    """One-line form indexing the rank <= r skew-symmetric stratum (built once per (n, r)).
 
     r must be even (a skew-symmetric matrix has even rank) and at most
     even_rank(n).  The result is checked to be a minimal representative

@@ -332,33 +332,23 @@ def _positive_roots_cached(diagram: DynkinDiagram,
     return frozenset(pos)
 
 
-# is_finite_type by (diagram, sorted proper node tuple).
-_FINITE_TYPE: dict[tuple[DynkinDiagram, tuple[int, ...]], bool] = {}
-
-
 def finite_type_nodes(diagram: DynkinDiagram, nodes: Iterable[int]) -> tuple[int, ...]:
     """``nodes`` as a sorted tuple; ValueError unless they span a finite type.
 
-    The whole of a finite diagram is accepted as is (``build_diagram``
-    proved it positive definite); the whole affine node set is rejected.
-    A proper subset is tested by ``is_finite_type`` only the first time
-    and its answer kept in ``_FINITE_TYPE``; a rejected set raises on
-    every call.
+    Only diagrams made by ``build_diagram`` are accepted.  On those the
+    answer needs no computation: a finite diagram is of finite type, and
+    every proper node subset of a connected untwisted affine diagram is of
+    finite type (Kac, Infinite-dimensional Lie algebras, Lemma 4.5), so
+    the full affine node set is the one rejected.
     """
+    if diagram != build_diagram(diagram.series, diagram.rank, diagram.affine):
+        raise ValueError("diagram was not made by build_diagram")
     chosen = tuple(sorted(set(nodes)))
     if not set(chosen) <= set(diagram.nodes):
         raise ValueError(f"nodes {chosen} are not nodes of the diagram")
-    if len(chosen) == len(diagram.nodes):
-        if diagram.affine:
-            raise ValueError("the full affine node set is infinite: it has infinitely "
-                             "many roots and generates an infinite Weyl group")
-        return chosen
-    key = (diagram, chosen)
-    finite = _FINITE_TYPE.get(key)
-    if finite is None:
-        finite = _FINITE_TYPE[key] = is_finite_type(diagram, chosen)
-    if not finite:
-        raise ValueError(f"node set {chosen} is not of finite type")
+    if diagram.affine and len(chosen) == len(diagram.nodes):
+        raise ValueError("the full affine node set is infinite: it has infinitely "
+                         "many roots and generates an infinite Weyl group")
     return chosen
 
 

@@ -6,9 +6,11 @@ to see one pass line per criterion.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from cograss import conormal, detvar
 from cograss.checks import (
@@ -31,6 +33,7 @@ from cograss.checks import (
 from cograss.cominuscule import build_context
 from cograss.weyl import demazure, enumerate_min_reps, positive_roots_of
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 RANK6 = list(cominuscule_pairs(6))
 RANK5 = list(cominuscule_pairs(5))
 
@@ -159,8 +162,9 @@ CLI_INVOCATIONS = [
 
 
 def _run_cli(args):
-    return subprocess.run([sys.executable, "-m", "cograss"] + args,
-                          capture_output=True, timeout=600)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cograss"] + args, capture_output=True,
+                          timeout=600, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_criterion_13_cli_contract():

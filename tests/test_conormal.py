@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -371,3 +372,30 @@ def test_closure_predicate_matches_smooth_schubert_classification():
                 (pair, w)
             counts[smooth] += 1
     assert counts == {True: 434, False: 760}
+
+
+def test_closure_predicate_against_rational_smoothness():
+    """Oracle A (Carrell-Peterson): X_P(x) is rationally smooth iff its
+    Poincare polynomial, sum of q^l(y) over y in W^P below x, is palindromic.
+    In simply laced type that is smoothness, so it must match the predicate;
+    in B/C smoothness only implies it.  x = min_rep(w0 w, levi)."""
+    counts, extra = Counter(), Counter()
+    for pair in cominuscule_pairs(6):
+        ctx = build_context(*pair)
+        for w in ctx.min_reps:
+            x = min_rep(ctx.w0 * w, ctx.levi_nodes)
+            poincare = [0] * (x.length() + 1)
+            for y in ctx.min_reps:
+                if bruhat_leq(y, x):
+                    poincare[y.length()] += 1
+            palindromic = poincare == poincare[::-1]
+            schubert = conormal.closure_is_schubert(ctx, w).closure_is_schubert
+            if ctx.series in "ADE":
+                assert schubert == palindromic, (pair, w)
+            else:
+                assert palindromic or not schubert, (pair, w)
+            counts[schubert, palindromic] += 1
+            extra[pair] += palindromic and not schubert
+    assert counts == {(True, True): 284, (False, False): 286, (False, True): 30}
+    assert +extra == {**{("B", n, 1): n - 1 for n in range(2, 7)},
+                      **{("C", n, n): n - 1 for n in range(2, 7)}}

@@ -1,5 +1,7 @@
 """Diagram construction, root enumeration, and the bilinear form."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from cograss.rootsys import (
     build_diagram,
+    finite_type_nodes,
     fundamental_coweight,
     highest_root,
     inner_form,
@@ -192,6 +195,38 @@ def test_finite_type_detection():
     d4t = build_diagram("D", 4, affine=True)
     assert is_finite_type(d4t, (0, 1, 2, 3))
     assert not is_finite_type(d4t, (0, 1, 2, 3, 4))
+
+
+def test_finite_type_nodes_matches_leading_minor_oracle():
+    """Kac's lemma against the determinant test: every node subset, the empty
+    one included, of A1-A8, B2-B8, C2-C8, D4-D8 and E6-E8, finite and affine."""
+    series = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+              + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+              + [("E", n) for n in (6, 7, 8)])
+    checked = 0
+    for (name, rank), affine in itertools.product(series, (False, True)):
+        d = build_diagram(name, rank, affine)
+        for k in range(len(d.nodes) + 1):
+            for nodes in itertools.combinations(d.nodes, k):
+                try:
+                    accepted = finite_type_nodes(d, nodes) == nodes
+                except ValueError:
+                    accepted = False
+                assert accepted == is_finite_type(d, nodes), (name, rank, affine, nodes)
+                checked += 1
+    assert checked == 7410
+
+
+def test_hand_built_diagram_is_refused():
+    """Kac's lemma covers build_diagram's diagrams only: an indefinite Cartan
+    matrix on the affine A3 nodes raises instead of enumerating forever."""
+    a3t = build_diagram("A", 3, affine=True)
+    cartan = [list(row) for row in a3t.cartan]
+    cartan[0][1] = cartan[1][0] = -3
+    bad = dataclasses.replace(a3t, cartan=tuple(tuple(row) for row in cartan))
+    assert not is_finite_type(bad, (0, 1))
+    with pytest.raises(ValueError, match="build_diagram"):
+        positive_roots(bad, (0, 1))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 3), ("B", 3), ("D", 4)])

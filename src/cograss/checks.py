@@ -135,10 +135,10 @@ def check_min_rep_sets(ctx: CominusculeContext) -> bool:
     if ctx.dual_min_reps != enumerate_min_reps(group, ctx.affine_levi_nodes, ctx.levi_nodes):
         return False
     for w in ctx.min_reps:
-        v, wv = conormal._dual_pair(ctx, w)  # asserts v in W_d^0 and the lengths
-        if v not in ctx.dual_min_reps:
+        report = conormal.closure_is_schubert(ctx, w)  # asserts v in W_d^0 and the lengths
+        if report.v not in ctx.dual_min_reps:
             return False
-        if not wv.length() == w.length() + v.length() == ctx.dim_quotient:
+        if not report.wv.length() == w.length() + report.v.length() == ctx.dim_quotient:
             return False
     return True
 

@@ -16,14 +16,15 @@ since u <= x iff u <= x^J for u in W^J (Bjorner-Brenti, Combinatorics of
 Coxeter Groups, Prop. 2.5.1), the index set is the lower interval below
 m minimised over the finite nodes, which is its unique maximum.
 
-Everything here is a pure function of an immutable context; reports are
-frozen dataclasses with a stable JSON rendering.
+Per-element data is derived once, in ``_element_report``, memoised per
+(context, w).  Everything here is a pure function of an immutable context;
+reports are frozen dataclasses with a stable JSON rendering.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import rootsys
@@ -82,26 +83,9 @@ def _require_min_rep(ctx: CominusculeContext, u: AffineWeylElement, span: tuple[
                 f"element is not a minimal representative: descent at node {node}")
 
 
-def conormal_roots(ctx: CominusculeContext, w: AffineWeylElement) -> frozenset[Vector]:
-    """Positive roots above the cominuscule node that w keeps positive."""
-    _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
-    d = ctx.cominuscule_node
-    picked = set()
-    for alpha in positive_roots_of(ctx.group, ctx.finite_nodes):
-        if alpha[d] >= 1 and is_positive_vec(w.act(alpha)):
-            assert alpha[d] == 1, "cominuscule coefficient must be exactly 1"
-            picked.add(alpha)
-    return frozenset(picked)
-
-
-def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylElement:
-    """The involution applied to w0 * w * w_levi; lands in the affine Levi."""
-    return _dual_pair(ctx, w)[0]
-
-
-def _dual_pair(ctx: CominusculeContext,
-               w: AffineWeylElement) -> tuple[AffineWeylElement, AffineWeylElement]:
-    """(v, w * v) for the twisted dual v, each product built once."""
+@functools.lru_cache(maxsize=None)
+def _element_report(ctx: CominusculeContext, w: AffineWeylElement) -> ConormalReport:
+    """The report on w and its twisted dual v without a fibre; w is validated once."""
     _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
     v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
     assert v.support() <= set(ctx.affine_levi_nodes)
@@ -109,7 +93,31 @@ def _dual_pair(ctx: CominusculeContext,
     wv = w * v
     assert wv.length() == w.length() + v.length() == ctx.dim_quotient, \
         "length bookkeeping l(wv) = l(w) + l(v) = dim G/P fails"
-    return v, wv
+    d = ctx.cominuscule_node
+    finite_roots = positive_roots_of(ctx.group, ctx.finite_nodes)
+    picked = set()
+    for alpha in finite_roots:
+        if alpha[d] >= 1 and is_positive_vec(w.act(alpha)):
+            assert alpha[d] == 1, "cominuscule coefficient must be exactly 1"
+            picked.add(alpha)
+    assert len(picked) == v.length(), "conormal root count must equal l(v)"
+    smooth = is_smooth(ctx, v)
+    chain = demazure(w, demazure(v.inverse(), demazure(v, ctx.w_levi)))
+    assert chain.length() >= len(finite_roots)
+    assert (chain.length() == len(finite_roots)) == smooth.c3, \
+        "length bookkeeping does not match the predicate"
+    return ConormalReport(w=w, v=v, wv=wv, roots=frozenset(picked), smooth=smooth,
+                          closure_is_schubert=smooth.c3)
+
+
+def conormal_roots(ctx: CominusculeContext, w: AffineWeylElement) -> frozenset[Vector]:
+    """Positive roots above the cominuscule node that w keeps positive."""
+    return _element_report(ctx, w).roots
+
+
+def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylElement:
+    """The involution applied to w0 * w * w_levi; lands in the affine Levi."""
+    return _element_report(ctx, w).v
 
 
 def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
@@ -118,10 +126,10 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     Also asserts the pointwise identity v(alpha - delta) = -iota(w0(w(alpha)))
     on every positive root above the cominuscule node.
     """
-    v = twisted_dual(ctx, w)
+    report = _element_report(ctx, w)
+    v = report.v
     delta = ctx.delta()
-    roots = conormal_roots(ctx, w)
-    shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in roots}
+    shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in report.roots}
     negatives_levi = {tuple(-x for x in beta)
                       for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes)}
     target = {beta for beta in negatives_levi if is_positive_vec(v.act(beta))}
@@ -132,10 +140,10 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
         lhs = v.act(tuple(a - m for a, m in zip(alpha, delta)))
         rhs = tuple(-x for x in ctx.iota_root(ctx.w0.act(w.act(alpha))))
         assert lhs == rhs, "pointwise shift identity fails"
-    assert len(roots) == v.length()
     return shifted == target
 
 
+@functools.lru_cache(maxsize=None)
 def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport:
     """Evaluate the four equivalent smoothness criteria independently."""
     _require_min_rep(ctx, u, ctx.affine_levi_nodes, ctx.finite_nodes,
@@ -172,28 +180,13 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
     2.5.1); only ``full_fibre`` (which implies ``with_fibre``) enumerates:
     the interval below that maximum.
     """
-    v, wv = _dual_pair(ctx, w)
-    roots = conormal_roots(ctx, w)
-    assert len(roots) == v.length(), "conormal root count must equal l(v)"
-    smooth = is_smooth(ctx, v)
-    predicate = smooth.c3
-
-    dim_gb = len(positive_roots_of(ctx.group, ctx.finite_nodes))
-    chain = demazure(w, demazure(v.inverse(), demazure(v, ctx.w_levi)))
-    assert chain.length() >= dim_gb
-    assert (chain.length() == dim_gb) == predicate, \
-        "length bookkeeping does not match the predicate"
-
-    fibre_max = fibre_all = None
-    if (with_fibre or full_fibre) and predicate:
-        top = _fibre_top(ctx, wv)
-        fibre_max = frozenset({top})
-        if full_fibre:
-            fibre_all = enumerate_min_reps(ctx.group, ctx.affine_levi_nodes,
-                                           ctx.finite_nodes, leq_bound=top)
-    return ConormalReport(w=w, v=v, wv=wv, roots=roots, smooth=smooth,
-                          closure_is_schubert=predicate,
-                          fibre_max=fibre_max, fibre_all=fibre_all)
+    report = _element_report(ctx, w)
+    if not ((with_fibre or full_fibre) and report.closure_is_schubert):
+        return report
+    top = _fibre_top(ctx, report.wv)
+    fibre_all = enumerate_min_reps(ctx.group, ctx.affine_levi_nodes, ctx.finite_nodes,
+                                   leq_bound=top) if full_fibre else None
+    return replace(report, fibre_max=frozenset({top}), fibre_all=fibre_all)
 
 
 def _fibre_top(ctx: CominusculeContext, wv: AffineWeylElement) -> AffineWeylElement:
@@ -222,13 +215,12 @@ def fibre_maximal(ctx: CominusculeContext,
     smooth case.  The whole index set sits behind
     ``closure_is_schubert(..., with_fibre=True, full_fibre=True)``.
     """
-    report = closure_is_schubert(ctx, w, with_fibre=True)
+    report = _element_report(ctx, w)
     if not report.closure_is_schubert:
         raise ValueError(
             "conormal closure is not a Schubert variety; fibre decomposition "
             f"is not available (smoothness report: {report.smooth})")
-    assert report.fibre_max is not None
-    return report.fibre_max
+    return frozenset({_fibre_top(ctx, report.wv)})
 
 
 def _shifted_cotangent_roots(ctx: CominusculeContext) -> list[Vector]:

@@ -181,13 +181,17 @@ def is_connected(diagram: DynkinDiagram, nodes: Iterable[int]) -> bool:
     return seen == chosen
 
 
-@functools.lru_cache(maxsize=None)
 def build_diagram(series: str, rank: int, affine: bool = False) -> DynkinDiagram:
-    """Construct and validate a Dynkin diagram.
+    """Construct and validate a Dynkin diagram, one object per (series, rank, affine).
 
     Raises ValueError for invalid (series, rank) pairs, naming the
     violated constraint.
     """
+    return _affine_diagram(series, rank) if affine else _finite_diagram(series, rank)
+
+
+@functools.lru_cache(maxsize=None)
+def _finite_diagram(series: str, rank: int) -> DynkinDiagram:
     if series not in ("A", "B", "C", "D", "E"):
         raise ValueError(f"unknown series {series!r}: expected one of A, B, C, D, E")
     if series == "E":
@@ -210,9 +214,12 @@ def build_diagram(series: str, rank: int, affine: bool = False) -> DynkinDiagram
     _validate_cartan(finite)
     if not _leading_minors_positive(_symmetrized(finite)):
         raise AssertionError("finite Cartan matrix is not positive definite")
-    if not affine:
-        return finite
+    return finite
 
+
+@functools.lru_cache(maxsize=None)
+def _affine_diagram(series: str, rank: int) -> DynkinDiagram:
+    finite = _finite_diagram(series, rank)
     theta = highest_root(finite)
     d = finite.symmetrizer
     theta_norm = _sym_form(finite, theta, theta)
@@ -341,7 +348,7 @@ def finite_type_nodes(diagram: DynkinDiagram, nodes: Iterable[int]) -> tuple[int
     finite type (Kac, Infinite-dimensional Lie algebras, Lemma 4.5), so
     the full affine node set is the one rejected.
     """
-    if diagram != build_diagram(diagram.series, diagram.rank, diagram.affine):
+    if diagram is not build_diagram(diagram.series, diagram.rank, diagram.affine):
         raise ValueError("diagram was not made by build_diagram")
     chosen = tuple(sorted(set(nodes)))
     if not set(chosen) <= set(diagram.nodes):

@@ -4,12 +4,16 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cograss import checks, cominuscule, conormal, rootsys, weyl
+from cograss import checks, cominuscule, conormal, detvar, rootsys, weyl
 from cograss.checks import run_suite
 from cograss.rootsys import build_diagram
 from cograss.weyl import WeylGroup, longest_element
@@ -85,9 +89,20 @@ def test_benchmark_entry_points_resolve():
     assert callable(checks.cominuscule_pairs)
 
 
-def test_finite_type_is_decided_without_the_determinant(monkeypatch):
-    """Op-count gate: a main-result sweep consults finite_type_nodes but never
-    runs the leading-minor test; Kac's lemma decides every node set."""
+@pytest.fixture
+def fresh_contexts(monkeypatch):
+    """A private build_context cache for the checks and detvar, so that every
+    memo keyed by a context starts cold, whatever ran before."""
+    fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
+    for module in (checks, detvar):
+        monkeypatch.setattr(module, "build_context", fresh)
+    return fresh
+
+
+def test_finite_type_is_decided_without_the_determinant(monkeypatch, fresh_contexts):
+    """Op-count gate: a main-result sweep on fresh contexts consults
+    finite_type_nodes but never runs the leading-minor test; Kac's lemma
+    decides every node set."""
     touched, tested = [], []
     real_nodes, real_test = rootsys.finite_type_nodes, rootsys.is_finite_type
 
@@ -125,6 +140,24 @@ def test_coset_sets_are_enumerated_at_most_four_times_per_context(monkeypatch):
     contexts = len(list(checks.cominuscule_pairs(5)))
     assert fresh.cache_info().currsize == contexts
     assert 0 < calls.count(True) <= 4 * contexts
+
+
+def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_contexts):
+    """Op-count gate: a full sweep on fresh contexts validates each w in W^P
+    and each u in W_d^0 once, however many checks read its conormal data."""
+    real = conormal._require_min_rep
+    finite_side = Counter()
+
+    def counting(ctx, u, span, quotient, name):
+        finite_side[span == ctx.finite_nodes] += 1
+        return real(ctx, u, span, quotient, name)
+
+    monkeypatch.setattr(conormal, "_require_min_rep", counting)
+    assert run_suite("all", 5).all_pass
+    contexts = [fresh_contexts(*pair) for pair in checks.cominuscule_pairs(5)]
+    assert fresh_contexts.cache_info().currsize == len(contexts)
+    assert finite_side[True] == sum(len(ctx.min_reps) for ctx in contexts)
+    assert finite_side[False] == sum(len(ctx.dual_min_reps) for ctx in contexts)
 
 
 def legacy_cominuscule_pairs(max_rank, include_e7=False):
@@ -178,3 +211,19 @@ def test_verify_report_matches_golden_records(suite):
                 if suite == "oracles" or _golden_rank(rec[1]) <= 5]
     report = run_suite(suite, 5)
     assert [(c.check_id, c.params, c.passed) for c in report.checks] == expected
+
+
+def test_sweep_with_asserts_stripped_matches_golden_records():
+    """Under python -O the explicit comparisons in the checks are the only
+    guard: the rank-4 sweep must still pass and give the golden records."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "cograss", "verify", "--suite", "all",
+         "--max-rank", "4", "--json"],
+        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr[-2000:]
+    expected = sorted(tuple(rec) for suite, records in GOLDEN_SWEEP["suites"].items()
+                      for rec in records if suite == "oracles" or _golden_rank(rec[1]) <= 4)
+    records = [(c["id"], c["params"], c["pass"]) for c in json.loads(run.stdout)["checks"]]
+    assert len(records) == 224
+    assert records == expected

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cograss import conormal, rootsys
+from cograss import cominuscule, conormal, rootsys
 from cograss.checks import (
     check_connected_support,
     check_main_predicate,
@@ -93,31 +93,29 @@ def test_shift_check_exhaustive_a3(a3ctx):
     assert all(conormal.shift_check(a3ctx, w) for w in reps)
 
 
-def test_dual_products_and_roots_are_built_once(a3ctx, monkeypatch):
-    reps = sorted(enumerate_min_reps(a3ctx.group, a3ctx.finite_nodes, a3ctx.levi_nodes),
-                  key=lambda x: x.cols)
-    duals = {w: conormal.twisted_dual(a3ctx, w) for w in reps}
-    products, root_calls = [], []
-    real_mul, real_roots = AffineWeylElement.__mul__, conormal.conormal_roots
+def test_dual_product_is_built_once_per_element(monkeypatch):
+    """Op-count gate: twisted_dual, conormal_roots, shift_check and
+    closure_is_schubert, with and without the fibre, build w * v once per w
+    between them.  The context is fresh, so no earlier call has warmed a memo."""
+    ctx = cominuscule.build_context.__wrapped__("A", 3, 2)
+    duals = {w: ctx.iota_elem(ctx.w0 * w * ctx.w_levi) for w in ctx.min_reps}
+    real_mul = AffineWeylElement.__mul__
+    products = Counter()
 
     def counting_mul(self, other):
-        products.append((self, other))
+        products[self, other] += 1
         return real_mul(self, other)
 
-    def counting_roots(ctx, w):
-        root_calls.append(w)
-        return real_roots(ctx, w)
-
     monkeypatch.setattr(AffineWeylElement, "__mul__", counting_mul)
-    monkeypatch.setattr(conormal, "conormal_roots", counting_roots)
-    for w in reps:
-        root_calls.clear()
-        assert conormal.shift_check(a3ctx, w)
-        assert root_calls == [w]
-        products.clear()
-        report = conormal.closure_is_schubert(a3ctx, w)
-        assert products.count((w, duals[w])) == 1
-        assert report.v == duals[w] and report.wv == real_mul(w, duals[w])
+    for w, v in duals.items():
+        assert conormal.twisted_dual(ctx, w) == v
+        roots = conormal.conormal_roots(ctx, w)
+        assert conormal.shift_check(ctx, w)
+        reports = [conormal.closure_is_schubert(ctx, w, **fibre) for fibre in
+                   ({}, {"with_fibre": True}, {"full_fibre": True})]
+        assert all(r.v == v and r.roots == roots and r.wv == real_mul(w, v)
+                   for r in reports)
+    assert [products[w, v] for w, v in duals.items()] == [1] * 6
 
 
 def test_is_smooth_identity_and_top(a3ctx):
@@ -345,18 +343,21 @@ def test_fibre_closed_form_matches_enumeration_oracle():
     assert cases == 284
 
 
+def _marked_connected_spans(ctx):
+    """The connected node sets J of the finite diagram that contain the marked node."""
+    d = ctx.cominuscule_node
+    for k in range(len(ctx.levi_nodes) + 1):
+        for extra in itertools.combinations(ctx.levi_nodes, k):
+            if rootsys.is_connected(ctx.finite_diagram, (d,) + extra):
+                yield (d,) + extra
+
+
 def _smooth_schubert_labels(ctx):
     """Oracle B (Brion-Polo 1999; Hong-Mok 2013): in a cominuscule G/P, X_P(x)
     is smooth iff x = e or x = min_rep(w0^J, levi) for a connected J of the
     finite diagram that contains the marked node."""
-    d = ctx.cominuscule_node
-    labels = {ctx.group.identity}
-    for k in range(len(ctx.levi_nodes) + 1):
-        for extra in itertools.combinations(ctx.levi_nodes, k):
-            nodes = (d,) + extra
-            if rootsys.is_connected(ctx.finite_diagram, nodes):
-                labels.add(min_rep(longest_element(ctx.group, nodes), ctx.levi_nodes))
-    return labels
+    return {ctx.group.identity} | {min_rep(longest_element(ctx.group, span), ctx.levi_nodes)
+                                   for span in _marked_connected_spans(ctx)}
 
 
 def test_closure_predicate_matches_smooth_schubert_classification():
@@ -399,3 +400,54 @@ def test_closure_predicate_against_rational_smoothness():
     assert counts == {(True, True): 284, (False, False): 286, (False, True): 30}
     assert +extra == {**{("B", n, 1): n - 1 for n in range(2, 7)},
                       **{("C", n, n): n - 1 for n in range(2, 7)}}
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_div_exact(num, den):
+    """num / den for integer coefficient lists, den monic; the remainder must vanish."""
+    num, quot = list(num), [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quot))):
+        quot[k] = num[k + len(den) - 1]
+        for j, y in enumerate(den):
+            num[k + j] -= quot[k] * y
+    assert not any(num), "division leaves a remainder"
+    return quot
+
+
+def _poincare_quotient(group, span, sub):
+    """P_{W_span}(q) / P_{W_sub}(q), where P_W(q) is the product over the
+    positive roots of [ht + 1]_q / [ht]_q (Kostant-Macdonald) and [n]_q is
+    1 + q + ... + q^(n-1)."""
+    num, den = [1], [1]
+    for nodes, up in ((span, 1), (sub, 0)):
+        for alpha in positive_roots_of(group, nodes):
+            num = _poly_mul(num, [1] * (sum(alpha) + up))
+            den = _poly_mul(den, [1] * (sum(alpha) + 1 - up))
+    return _poly_div_exact(num, den)
+
+
+def test_smooth_label_intervals_have_the_parabolic_poincare_polynomial():
+    """Interval cross-check: below a smooth label x = min_rep(w0^J, levi) the
+    elements of W^P are those of W_J^(J - d), so the sum of q^l(y) over y in
+    W^P with y <= x is P_{W_J}(q) / P_{W_(J - d)}(q).  Tests bruhat_leq,
+    min_rep and the coset enumeration against root heights alone."""
+    checked = 0
+    for pair in cominuscule_pairs(7, include_e7=True):
+        ctx = build_context(*pair)
+        for span in _marked_connected_spans(ctx):
+            x = min_rep(longest_element(ctx.group, span), ctx.levi_nodes)
+            below = [0] * (x.length() + 1)
+            for y in ctx.min_reps:
+                if bruhat_leq(y, x):
+                    below[y.length()] += 1
+            levi_part = tuple(i for i in span if i != ctx.cominuscule_node)
+            assert below == _poincare_quotient(ctx.group, span, levi_part), (pair, span)
+            checked += 1
+    assert checked == 379

@@ -229,6 +229,22 @@ def test_hand_built_diagram_is_refused():
         positive_roots(bad, (0, 1))
 
 
+@pytest.mark.parametrize("series,rank", [("A", 1), ("C", 3), ("D", 4), ("E", 7)])
+def test_one_diagram_object_per_series_rank_and_form(series, rank):
+    """However the call is spelled, and whether it comes from the affine build
+    or from a Weyl group, (series, rank, affine) names one diagram object."""
+    from cograss.cominuscule import build_context, cominuscule_nodes
+    from cograss.weyl import WeylGroup
+    finite = build_diagram(series, rank)
+    assert build_diagram(series, rank, False) is finite
+    assert build_diagram(series, rank, affine=False) is finite
+    affine = build_diagram(series, rank, affine=True)
+    assert build_diagram(series, rank, True) is affine
+    assert WeylGroup(affine).finite_diagram is finite
+    ctx = build_context(series, rank, cominuscule_nodes(series, rank)[-1])
+    assert ctx.finite_diagram is finite and ctx.affine_diagram is affine
+
+
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 3), ("B", 3), ("D", 4)])
 def test_affine_positivity_characterization(series, rank):
     # all-coefficients-nonnegative must agree with: level > 0, or level 0

@@ -34,7 +34,6 @@ from .weyl import (
     demazure,
     enumerate_min_reps,
     min_rep,
-    positive_roots_of,
     weyl_elements,
 )
 
@@ -186,12 +185,9 @@ def check_nilpotent_sets(ctx: CominusculeContext) -> bool:
 def check_shift_root_bijection(ctx: CominusculeContext) -> bool:
     """alpha -> alpha - delta maps the cotangent roots onto the shifted set."""
     delta = ctx.delta()
-    d = ctx.cominuscule_node
-    upstairs = {alpha for alpha in positive_roots_of(ctx.group, ctx.finite_nodes)
-                if alpha[d] >= 1}
-    shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in upstairs}
+    shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in ctx.cotangent_roots}
     return (shifted == set(conormal._shifted_cotangent_roots(ctx))
-            and len(upstairs) == ctx.dim_quotient)
+            and len(ctx.cotangent_roots) == ctx.dim_quotient)
 
 
 # -- oracle-level checks -----------------------------------------------------------

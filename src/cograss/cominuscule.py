@@ -7,7 +7,8 @@ affine Levi node set (all affine nodes minus d), the diagram involution
 swapping node 0 with node d, the longest elements of the three parabolic
 subgroups, the distinguished translation element of the affine Weyl
 group, and, built on first use, the coset sets W^P (indexing X(w) in G/P)
-and W_d^0 (holding the twisted duals).
+and W_d^0 (holding the twisted duals), and the cotangent roots Phi+ minus
+Phi+_levi (the roots of T_eP(G/P)).
 
 The involution is computed from the negated longest Levi element, never
 from case tables; the type-D closed form is a test downstream.  The
@@ -86,6 +87,15 @@ class CominusculeContext:
         """W_d^0: minimal representatives of the affine Levi over the finite nodes."""
         return enumerate_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
 
+    @functools.cached_property
+    def cotangent_roots(self) -> frozenset[Vector]:
+        """Phi+ minus Phi+_levi: the roots of T_eP(G/P), each with alpha_d coefficient 1."""
+        roots = (positive_roots_of(self.group, self.finite_nodes)
+                 - positive_roots_of(self.group, self.levi_nodes))
+        assert all(alpha[self.cominuscule_node] == 1 for alpha in roots), \
+            "cominuscule coefficient must be exactly 1"
+        return roots
+
     def delta(self) -> Vector:
         return self.affine_diagram.delta
 
@@ -137,7 +147,7 @@ def build_context(series: str, rank: int, node: int) -> CominusculeContext:
     assert w_levi.act(alpha_0) == thetad, "w_J(alpha_0) = theta_d fails"
 
     coweight = rootsys.fundamental_coweight(finite, node)
-    coroot = _integral_shift(finite, group, w0, coweight)
+    coroot = _integral_shift(finite, w0, node, coweight)
     tau = group.from_translation(coroot)
     tau_from_words = min_rep(w0, levi) * min_rep(w_affine_levi, levi)
     if tau != tau_from_words:
@@ -185,26 +195,16 @@ def _validate_involution(affine: DynkinDiagram, involution: tuple[int, ...]) -> 
     assert all(delta[involution[i]] == delta[i] for i in nodes), "involution moves delta"
 
 
-def _integral_shift(finite: DynkinDiagram, group: WeylGroup,
-                    w0: AffineWeylElement, coweight: tuple[Fraction, ...]) -> Vector:
-    """w0(coweight) - coweight in the coroot basis, asserted integral."""
-    w0_inv = w0.inverse()
-    rhs = []
-    for j in finite.nodes:
-        pre = w0_inv.act(group.diagram.simple_root(j))
-        finite_pre = _finite_part(group.diagram, pre)
-        rhs.append(rootsys.pairing(finite, finite_pre, coweight))
+def _integral_shift(finite: DynkinDiagram, w0: AffineWeylElement, node: int,
+                    coweight: tuple[Fraction, ...]) -> Vector:
+    """w0(coweight) - coweight in the coroot basis, asserted integral.
+
+    Since w0 is an involution, <alpha_j, w0(coweight)> = <w0(alpha_j), coweight>,
+    the alpha_node coefficient of w0(alpha_j): entry ``node`` of column j.
+    """
+    rhs = [w0.cols[j][node] for j in finite.nodes]
     moved = rootsys.coroot_coordinates(finite, rhs)
     shift = tuple(m - c for m, c in zip(moved, coweight))
     assert all(x.denominator == 1 for x in shift), \
         "w0(coweight) - coweight left the coroot lattice"
     return tuple(int(x) for x in shift)
-
-
-def _finite_part(affine: DynkinDiagram, vec: Vector) -> Vector:
-    """Strip the delta component of a level-zero affine vector."""
-    level = vec[0]
-    delta = affine.delta
-    out = tuple(x - level * m for x, m in zip(vec, delta))
-    assert out[0] == 0
-    return out[1:]

@@ -1,8 +1,11 @@
 """Conormal combinatorics of Schubert varieties in a cominuscule context.
 
 For a minimal representative w in the finite Weyl group, the conormal
-direction set consists of the positive roots above the cominuscule node
-that w keeps positive.  Its twisted dual v (the diagram involution
+direction set R(w) consists of the cotangent roots Phi+ minus Phi+_levi
+(``CominusculeContext.cotangent_roots``) that w keeps positive.  Leaving
+the Levi is always that one set difference with Phi+_levi: it cuts out
+R(w), the shifted set psi in the affine Levi and the smoothness set of
+criterion (5).  Its twisted dual v (the diagram involution
 applied to w0*w*w_levi) lives in the affine Levi parabolic, and the
 closure of the conormal variety inside the ambient affine Schubert
 variety is again a Schubert variety exactly when v satisfies the
@@ -34,7 +37,6 @@ from .weyl import (
     AffineWeylElement,
     bruhat_leq,
     demazure,
-    enumerate_min_reps,
     is_min_rep,
     longest_element,
     min_rep,
@@ -93,25 +95,20 @@ def _element_report(ctx: CominusculeContext, w: AffineWeylElement) -> ConormalRe
     wv = w * v
     assert wv.length() == w.length() + v.length() == ctx.dim_quotient, \
         "length bookkeeping l(wv) = l(w) + l(v) = dim G/P fails"
-    d = ctx.cominuscule_node
-    finite_roots = positive_roots_of(ctx.group, ctx.finite_nodes)
-    picked = set()
-    for alpha in finite_roots:
-        if alpha[d] >= 1 and is_positive_vec(w.act(alpha)):
-            assert alpha[d] == 1, "cominuscule coefficient must be exactly 1"
-            picked.add(alpha)
+    picked = frozenset(alpha for alpha in ctx.cotangent_roots if is_positive_vec(w.act(alpha)))
     assert len(picked) == v.length(), "conormal root count must equal l(v)"
     smooth = is_smooth(ctx, v)
     chain = demazure(w, demazure(v.inverse(), demazure(v, ctx.w_levi)))
-    assert chain.length() >= len(finite_roots)
-    assert (chain.length() == len(finite_roots)) == smooth.c3, \
+    dim_flag = len(positive_roots_of(ctx.group, ctx.finite_nodes))
+    assert chain.length() >= dim_flag
+    assert (chain.length() == dim_flag) == smooth.c3, \
         "length bookkeeping does not match the predicate"
-    return ConormalReport(w=w, v=v, wv=wv, roots=frozenset(picked), smooth=smooth,
+    return ConormalReport(w=w, v=v, wv=wv, roots=picked, smooth=smooth,
                           closure_is_schubert=smooth.c3)
 
 
 def conormal_roots(ctx: CominusculeContext, w: AffineWeylElement) -> frozenset[Vector]:
-    """Positive roots above the cominuscule node that w keeps positive."""
+    """R(w): the cotangent roots that w keeps positive."""
     return _element_report(ctx, w).roots
 
 
@@ -121,26 +118,22 @@ def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylEle
 
 
 def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
-    """Shift-by-delta bijection between conormal roots and ascents of the dual.
+    """Shift-by-delta bijection between conormal roots and inversions of the dual.
 
-    Also asserts the pointwise identity v(alpha - delta) = -iota(w0(w(alpha)))
-    on every positive root above the cominuscule node.
+    Tests {delta - alpha : alpha in R(w)} = {gamma in Phi+_{aff Levi} : v(gamma) < 0},
+    and asserts the pointwise identity v(delta - alpha) = iota(w0(w(alpha)))
+    on every cotangent root alpha.
     """
     report = _element_report(ctx, w)
     v = report.v
     delta = ctx.delta()
-    shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in report.roots}
-    negatives_levi = {tuple(-x for x in beta)
-                      for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes)}
-    target = {beta for beta in negatives_levi if is_positive_vec(v.act(beta))}
-    d = ctx.cominuscule_node
-    for alpha in positive_roots_of(ctx.group, ctx.finite_nodes):
-        if alpha[d] == 0:
-            continue
-        lhs = v.act(tuple(a - m for a, m in zip(alpha, delta)))
-        rhs = tuple(-x for x in ctx.iota_root(ctx.w0.act(w.act(alpha))))
-        assert lhs == rhs, "pointwise shift identity fails"
-    return shifted == target
+    for alpha in ctx.cotangent_roots:
+        lhs = v.act(tuple(m - a for a, m in zip(alpha, delta)))
+        assert lhs == ctx.iota_root(ctx.w0.act(w.act(alpha))), "pointwise shift identity fails"
+    shifted = {tuple(m - a for a, m in zip(alpha, delta)) for alpha in report.roots}
+    inversions = {gamma for gamma in positive_roots_of(ctx.group, ctx.affine_levi_nodes)
+                  if is_negative_vec(v.act(gamma))}
+    return shifted == inversions
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,7 +153,7 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
 
     supp_roots = positive_roots_of(ctx.group, supp)
     inversions = {alpha for alpha in supp_roots if is_negative_vec(u.act(alpha))}
-    c5 = inversions == {alpha for alpha in supp_roots if alpha[0]}  # leaves the Levi
+    c5 = inversions == supp_roots - positive_roots_of(ctx.group, ctx.levi_nodes)
 
     report = SmoothnessReport(c3=c3, c4=c4, c5=c5, c6=c6, support=supp,
                               witness=(w_supp, w_supp_levi))
@@ -177,15 +170,15 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
     is checked against the parabolic-factorization criterion, and the
     length bookkeeping against dim G/B is asserted on the way.  The fibre
     maximum comes from the parabolic map (BFL 1999; Bjorner-Brenti Prop.
-    2.5.1); only ``full_fibre`` (which implies ``with_fibre``) enumerates:
-    the interval below that maximum.
+    2.5.1); ``full_fibre`` (which implies ``with_fibre``) adds the interval
+    below that maximum, read off the context's W_d^0.
     """
     report = _element_report(ctx, w)
     if not ((with_fibre or full_fibre) and report.closure_is_schubert):
         return report
     top = _fibre_top(ctx, report.wv)
-    fibre_all = enumerate_min_reps(ctx.group, ctx.affine_levi_nodes, ctx.finite_nodes,
-                                   leq_bound=top) if full_fibre else None
+    fibre_all = frozenset(u for u in ctx.dual_min_reps
+                          if bruhat_leq(u, top)) if full_fibre else None
     return replace(report, fibre_max=frozenset({top}), fibre_all=fibre_all)
 
 
@@ -224,13 +217,10 @@ def fibre_maximal(ctx: CominusculeContext,
 
 
 def _shifted_cotangent_roots(ctx: CominusculeContext) -> list[Vector]:
-    """psi: the negated affine-Levi positive roots whose support leaves the Levi.
-
-    The affine Levi nodes are the Levi nodes and 0, so such a root leaves
-    the Levi exactly when its alpha_0 coefficient is nonzero.
-    """
-    psi = [tuple(-x for x in beta)
-           for beta in positive_roots_of(ctx.group, ctx.affine_levi_nodes) if beta[0]]
+    """psi = -(Phi+_{aff Levi} minus Phi+_levi): the negated affine-Levi roots off the Levi."""
+    off_levi = (positive_roots_of(ctx.group, ctx.affine_levi_nodes)
+                - positive_roots_of(ctx.group, ctx.levi_nodes))
+    psi = [tuple(-x for x in beta) for beta in off_levi]
     assert len(psi) == ctx.dim_quotient
     return psi
 

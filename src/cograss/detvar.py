@@ -312,6 +312,9 @@ def fibre_rank(n: int, r: int) -> tuple[int, SignedPermutation]:
     (``dual_stratum_holds``) and the Schubert closure predicate, and
     matches the unique Bruhat-maximal fibre label (the parabolic map, no
     enumeration) against the involution image of the co-rank stratum.
+    The rank is read off that label: its involution image, as a signed
+    permutation p, gives rank #{i : p(i) > n} = 2k, and the label's length
+    must be k(2n - 2k - 1), the dimension of the rank-<= 2k skew locus.
     """
     perm = skew_rank_element(n, r)
     nbar = even_rank(n)
@@ -320,11 +323,16 @@ def fibre_rank(n: int, r: int) -> tuple[int, SignedPermutation]:
         raise AssertionError("dual stratum identities fail")
 
     witness = skew_rank_element(n, nbar - r)
-    expected_max = ctx.iota_elem(element_of(ctx, witness))
-    fibre = conormal.fibre_maximal(ctx, element_of(ctx, perm))
-    assert fibre == frozenset({expected_max}), \
+    (top,) = conormal.fibre_maximal(ctx, element_of(ctx, perm))
+    assert top == ctx.iota_elem(element_of(ctx, witness)), \
         "fibre maximum does not match the involuted co-rank stratum"
-    return nbar - r, witness
+    label = word_to_perm(n, ctx.iota_elem(top).reduced_word())
+    rank = sum(1 for value in label.values if value > n)
+    k = rank // 2
+    if top.length() != k * (2 * n - 2 * k - 1):
+        raise AssertionError(
+            f"fibre label length {top.length()} is not the dimension of the rank-{rank} locus")
+    return rank, witness
 
 
 def intersect_identity(n: int, r: int) -> bool:

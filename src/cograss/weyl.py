@@ -464,16 +464,13 @@ def demazure(u: AffineWeylElement, w: AffineWeylElement) -> AffineWeylElement:
 
 
 def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
-                       quotient_nodes: Iterable[int],
-                       leq_bound: Optional[AffineWeylElement] = None,
-                       ) -> frozenset[AffineWeylElement]:
+                       quotient_nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
     """Breadth-first enumeration of W_span intersect W^quotient.
 
     Layer k holds the elements of length k; a new left product s u that
     is minimal over the quotient lies one layer up (Deodhar's lemma,
     Invent. Math. 39, 1977) and carries l(u) + 1.  Cardinality is checked
-    against |W_span| / |W_{span & quotient}|; an optional Bruhat upper
-    bound filters the result afterwards.
+    against |W_span| / |W_{span & quotient}|.
     """
     span = finite_type_nodes(group.diagram, span_nodes)
     quo = tuple(sorted(set(quotient_nodes)))
@@ -495,8 +492,6 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
     expected, order_both = weyl_order(group.diagram, span), weyl_order(group.diagram, both)
     assert expected % order_both == 0 and len(reps) == expected // order_both, \
         "minimal representative count does not match the index"
-    if leq_bound is not None:
-        reps = {u for u in reps if bruhat_leq(u, leq_bound)}
     return frozenset(reps)
 
 

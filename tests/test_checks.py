@@ -132,7 +132,7 @@ def test_coset_sets_are_enumerated_at_most_four_times_per_context(monkeypatch):
         calls.append(group.diagram.affine)
         return real(group, *args, **kwargs)
 
-    for module in (weyl, cominuscule, conormal, checks):
+    for module in (weyl, cominuscule, checks):
         monkeypatch.setattr(module, "enumerate_min_reps", counting)
     fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
     monkeypatch.setattr(checks, "build_context", fresh)
@@ -213,17 +213,38 @@ def test_verify_report_matches_golden_records(suite):
     assert [(c.check_id, c.params, c.passed) for c in report.checks] == expected
 
 
+def _run_with_asserts_stripped(*args):
+    """``python -O *args`` with this checkout's ``src/`` on the path."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", *args], capture_output=True, text=True,
+                          timeout=600, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_sweep_with_asserts_stripped_matches_golden_records():
     """Under python -O the explicit comparisons in the checks are the only
     guard: the rank-4 sweep must still pass and give the golden records."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-O", "-m", "cograss", "verify", "--suite", "all",
-         "--max-rank", "4", "--json"],
-        capture_output=True, text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
+    run = _run_with_asserts_stripped("-m", "cograss", "verify", "--suite", "all",
+                                     "--max-rank", "4", "--json")
     assert run.returncode == 0, run.stderr[-2000:]
     expected = sorted(tuple(rec) for suite, records in GOLDEN_SWEEP["suites"].items()
                       for rec in records if suite == "oracles" or _golden_rank(rec[1]) <= 4)
     records = [(c["id"], c["params"], c["pass"]) for c in json.loads(run.stdout)["checks"]]
     assert len(records) == 224
     assert records == expected
+
+
+FIBRE_STUCK_AT_IDENTITY = """
+import json
+from cograss import checks, conormal
+conormal.fibre_maximal = lambda ctx, w: frozenset({ctx.group.identity})
+print(json.dumps([c.params for c in checks.run_suite("fibre-det", 6).failed]))
+"""
+
+
+def test_fibre_det_fails_on_a_wrong_fibre_with_asserts_stripped():
+    """fibre-det reads the rank off the fibre label, so under python -O a
+    fibre maximum stuck at the identity fails every stratum below the top rank."""
+    run = _run_with_asserts_stripped("-c", FIBRE_STUCK_AT_IDENTITY)
+    assert run.returncode == 0, run.stderr[-2000:]
+    expected = [f"n={n} r={r}" for n in range(4, 7) for r in range(0, detvar.even_rank(n), 2)]
+    assert json.loads(run.stdout) == expected

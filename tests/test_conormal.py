@@ -33,8 +33,9 @@ RANK4_PAIRS = list(cominuscule_pairs(4))
 def _oracle_fibre(ctx, wv):
     """Slow oracle: enumerate the affine Levi's W^finite, filter below min_rep(wv)."""
     bound = min_rep(wv, ctx.finite_nodes)
-    return enumerate_min_reps(ctx.group, ctx.affine_levi_nodes, ctx.finite_nodes,
-                              leq_bound=bound)
+    return frozenset(u for u in enumerate_min_reps(ctx.group, ctx.affine_levi_nodes,
+                                                   ctx.finite_nodes)
+                     if bruhat_leq(u, bound))
 
 
 def _oracle_maxima(elements):
@@ -282,8 +283,8 @@ ALPHA0_PAIRS = list(cominuscule_pairs(6)) + [p for p in cominuscule_pairs(7, Tru
 
 @pytest.mark.parametrize("pair", ALPHA0_PAIRS, ids=lambda p: "%s%d d=%d" % p)
 def test_alpha0_test_matches_support_definition(pair):
-    """psi and the c5 set test the alpha_0 coefficient; the definitions ask
-    whether the support of the root leaves the Levi."""
+    """The cotangent roots, psi and the c5 set subtract Phi+_levi; the
+    definitions ask whether the support of the root leaves the Levi."""
     ctx = build_context(*pair)
     levi = set(ctx.levi_nodes)
 
@@ -291,6 +292,10 @@ def test_alpha0_test_matches_support_definition(pair):
         return {alpha for alpha in roots
                 if not {i for i, c in zip(ctx.affine_diagram.nodes, alpha) if c} <= levi}
 
+    cotangent = off_levi(positive_roots_of(ctx.group, ctx.finite_nodes))
+    assert ctx.cotangent_roots == cotangent
+    assert all(alpha[ctx.cominuscule_node] == 1 for alpha in ctx.cotangent_roots)
+    assert len(ctx.cotangent_roots) == ctx.dim_quotient
     psi = conormal._shifted_cotangent_roots(ctx)
     assert sorted(psi) == sorted(tuple(-x for x in beta) for beta in
                                  off_levi(positive_roots_of(ctx.group, ctx.affine_levi_nodes)))

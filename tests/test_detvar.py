@@ -148,7 +148,6 @@ def test_fibre_path_never_enumerates(monkeypatch):
         raise AssertionError("the fibre maximum must not enumerate")
 
     monkeypatch.setattr(weyl, "enumerate_min_reps", refuse)
-    monkeypatch.setattr(conormal, "enumerate_min_reps", refuse)
     monkeypatch.setattr(cominuscule, "enumerate_min_reps", refuse)
     ctx = build_context("A", 3, 2)
     assert len(conormal.fibre_maximal(ctx, ctx.group.identity)) == 1

@@ -367,12 +367,6 @@ def test_enumerate_min_reps_examples():
     assert len(enumerate_min_reps(d4, d4.diagram.nodes, (1, 2, 3))) == 8
 
 
-def test_enumerate_min_reps_with_bound():
-    g = group_of("A", 3)
-    reps = enumerate_min_reps(g, g.diagram.nodes, (1, 3), leq_bound=g.simple[2])
-    assert reps == frozenset({g.identity, g.simple[2]})
-
-
 CLASSICAL_ORDERS = {
     "A": lambda n: math.factorial(n + 1),
     "B": lambda n: 2 ** n * math.factorial(n),

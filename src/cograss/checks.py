@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional
 
 from . import conormal, detvar
 from .cominuscule import CominusculeContext, build_context, cominuscule_nodes
-from .rootsys import _E_RANKS, _RANK_BOUNDS, build_diagram, inner_form
+from .rootsys import _E_RANKS, _RANK_BOUNDS, build_diagram, inner_form, is_connected
 from .weyl import (
     WeylGroup,
     bruhat_leq,
@@ -143,7 +143,6 @@ def check_min_rep_sets(ctx: CominusculeContext) -> bool:
 
 
 def check_connected_support(ctx: CominusculeContext) -> bool:
-    from .rootsys import is_connected
     for u in ctx.dual_min_reps:
         if not u.is_identity() and not is_connected(ctx.affine_diagram, u.support()):
             return False
@@ -183,10 +182,14 @@ def check_nilpotent_sets(ctx: CominusculeContext) -> bool:
 
 
 def check_shift_root_bijection(ctx: CominusculeContext) -> bool:
-    """alpha -> alpha - delta maps the cotangent roots onto the shifted set."""
+    """alpha -> alpha - delta maps the cotangent roots onto the shifted set, and
+    iota(w_levi(alpha)) = delta - alpha on each: with v = iota(w0 w w_levi) that is
+    the pointwise shift identity v(delta - alpha) = iota(w0(w(alpha))) for every w."""
     delta = ctx.delta()
-    shifted = {tuple(a - m for a, m in zip(alpha, delta)) for alpha in ctx.cotangent_roots}
-    return (shifted == set(conormal._shifted_cotangent_roots(ctx))
+    shift = {alpha: tuple(a - m for a, m in zip(alpha, delta)) for alpha in ctx.cotangent_roots}
+    pointwise = all(ctx.iota_root(ctx.w_levi.act(alpha)) == tuple(-x for x in beta)
+                    for alpha, beta in shift.items())
+    return (pointwise and set(shift.values()) == set(conormal._shifted_cotangent_roots(ctx))
             and len(ctx.cotangent_roots) == ctx.dim_quotient)
 
 

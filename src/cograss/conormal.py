@@ -5,19 +5,21 @@ direction set R(w) consists of the cotangent roots Phi+ minus Phi+_levi
 (``CominusculeContext.cotangent_roots``) that w keeps positive.  Leaving
 the Levi is always that one set difference with Phi+_levi: it cuts out
 R(w), the shifted set psi in the affine Levi and the smoothness set of
-criterion (5).  Its twisted dual v (the diagram involution
-applied to w0*w*w_levi) lives in the affine Levi parabolic, and the
-closure of the conormal variety inside the ambient affine Schubert
-variety is again a Schubert variety exactly when v satisfies the
-parabolic-longest-element smoothness criteria.  The fibre over the base
-point is indexed by the minimal representatives of the affine Levi below
-b = (w*v) minimised over the finite nodes.  That index set has a closed
-form: by the parabolic map (Billey-Fan-Losonczy, "The parabolic map",
-J. Algebra 214, 1999) the Demazure product m of the affine-Levi letters
-of a reduced word of b is the maximum of W_{affine Levi} below b, and
-since u <= x iff u <= x^J for u in W^J (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, Prop. 2.5.1), the index set is the lower interval below
-m minimised over the finite nodes, which is its unique maximum.
+criterion (5).  Its twisted dual v (the diagram involution applied to
+w0*w*w_levi) lives in the affine Levi parabolic, where the shift
+alpha -> delta - alpha carries R(w) onto the inversions of v
+(``shift_check``), and the closure of the conormal variety inside the
+ambient affine Schubert variety is again a Schubert variety exactly when
+v satisfies the parabolic-longest-element smoothness criteria.  The fibre
+over the base point is indexed by the minimal representatives of the
+affine Levi below b = (w*v) minimised over the finite nodes.  That index
+set has a closed form: by the parabolic map (Billey-Fan-Losonczy, "The
+parabolic map", J. Algebra 214, 1999) the Demazure product m of the
+affine-Levi letters of a reduced word of b is the maximum of
+W_{affine Levi} below b, and since u <= x iff u <= x^J for u in W^J
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.5.1), the
+index set is the lower interval below m minimised over the finite nodes,
+which is its unique maximum.
 
 Per-element data is derived once, in ``_element_report``, memoised per
 (context, w).  Everything here is a pure function of an immutable context;
@@ -120,19 +122,15 @@ def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylEle
 def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     """Shift-by-delta bijection between conormal roots and inversions of the dual.
 
-    Tests {delta - alpha : alpha in R(w)} = {gamma in Phi+_{aff Levi} : v(gamma) < 0},
-    and asserts the pointwise identity v(delta - alpha) = iota(w0(w(alpha)))
-    on every cotangent root alpha.
+    Tests {delta - alpha : alpha in R(w)} = {gamma in Phi+_{aff Levi} : v(gamma) < 0}.
+    The pointwise identity v(delta - alpha) = iota(w0(w(alpha))) does not involve w
+    once v is substituted; ``checks.check_shift_root_bijection`` checks it per context.
     """
     report = _element_report(ctx, w)
-    v = report.v
     delta = ctx.delta()
-    for alpha in ctx.cotangent_roots:
-        lhs = v.act(tuple(m - a for a, m in zip(alpha, delta)))
-        assert lhs == ctx.iota_root(ctx.w0.act(w.act(alpha))), "pointwise shift identity fails"
     shifted = {tuple(m - a for a, m in zip(alpha, delta)) for alpha in report.roots}
     inversions = {gamma for gamma in positive_roots_of(ctx.group, ctx.affine_levi_nodes)
-                  if is_negative_vec(v.act(gamma))}
+                  if is_negative_vec(report.v.act(gamma))}
     return shifted == inversions
 
 

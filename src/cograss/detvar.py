@@ -84,14 +84,6 @@ class SignedPermutation:
     def is_identity(self) -> bool:
         return self.values == tuple(range(1, self.n + 1))
 
-    def has_right_descent(self, i: int) -> bool:
-        vals = self.values
-        if 1 <= i < self.n:
-            return vals[i - 1] > vals[i]
-        if i == self.n:
-            return vals[self.n - 2] + vals[self.n - 1] > 2 * self.n + 1
-        raise ValueError(f"letter {i} out of range 1..{self.n}")
-
     def length(self) -> int:
         """Type-D length from the inversion statistic of the full window."""
         win = self.window
@@ -109,40 +101,46 @@ def identity_perm(n: int) -> SignedPermutation:
     return SignedPermutation(n, tuple(range(1, n + 1)))
 
 
-def generator_perm(n: int, i: int) -> SignedPermutation:
-    """Image of the Coxeter generator s_i inside S_{2n}."""
+def _has_right_descent(values: Sequence[int], i: int) -> bool:
+    """Right descent of a one-line form at letter i (see the module docstring)."""
+    n = len(values)
+    if 1 <= i < n:
+        return values[i - 1] > values[i]
+    if i == n:
+        return values[n - 2] + values[n - 1] > 2 * n + 1
+    raise ValueError(f"letter {i} out of range 1..{n}")
+
+
+def _mul_simple_right(values: list[int], i: int) -> None:
+    """w -> w s_i on the one-line form, in place: s_i (i < n) swaps entries i
+    and i+1, s_n sends (w(n-1), w(n)) to (2n+1 - w(n), 2n+1 - w(n-1))."""
+    n = len(values)
     if not 1 <= i <= n:
         raise ValueError(f"letter {i} out of range 1..{n}")
-    window = list(range(1, 2 * n + 1))
-
-    def swap(a: int, b: int) -> None:
-        window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
-
     if i < n:
-        swap(i, i + 1)
-        swap(2 * n - i, 2 * n - i + 1)
+        values[i - 1], values[i] = values[i], values[i - 1]
     else:
-        # r_n r_{n-1} r_{n+1} r_n: exchange n-1 <-> n+1 and n <-> n+2
-        swap(n - 1, n + 1)
-        swap(n, n + 2)
-    return SignedPermutation(n, tuple(window[:n]))
+        values[n - 2], values[n - 1] = 2 * n + 1 - values[n - 1], 2 * n + 1 - values[n - 2]
+
+
+def generator_perm(n: int, i: int) -> SignedPermutation:
+    """Image of the Coxeter generator s_i inside S_{2n}."""
+    return word_to_perm(n, (i,))
 
 
 def word_to_perm(n: int, word: Sequence[int]) -> SignedPermutation:
-    """Evaluate a type-D word through the S_{2n} embedding."""
-    out = identity_perm(n)
+    """Evaluate a type-D word through the S_{2n} embedding, validating once."""
+    values = list(range(1, n + 1))
     for letter in word:
-        out = out * generator_perm(n, letter)
-    return out
+        _mul_simple_right(values, letter)
+    return SignedPermutation(n, tuple(values))
 
 
 def perm_to_word(p: SignedPermutation) -> tuple[int, ...]:
-    """Deterministic reduced word by smallest-descent stripping."""
-    trace = []
-    cur = p
-    while not cur.is_identity():
-        letter = next(i for i in range(1, p.n + 1) if cur.has_right_descent(i))
-        cur = cur * generator_perm(p.n, letter)
+    """Deterministic reduced word: strip the smallest right descent until none is left."""
+    values, trace = list(p.values), []
+    while letter := next((i for i in range(1, p.n + 1) if _has_right_descent(values, i)), 0):
+        _mul_simple_right(values, letter)
         trace.append(letter)
     return tuple(reversed(trace))
 
@@ -171,7 +169,7 @@ def skew_rank_element(n: int, r: int) -> SignedPermutation:
         raise ValueError(f"r must satisfy 0 <= r <= {nbar} for n={n}")
     values = tuple(range(r + 1, n + 1)) + tuple(range(2 * n - r + 1, 2 * n + 1))
     perm = SignedPermutation(n, values)
-    assert not any(perm.has_right_descent(i) for i in range(1, n)), \
+    assert not any(_has_right_descent(values, i) for i in range(1, n)), \
         "rank stratum element must be a minimal representative"
     factored = identity_perm(n)
     for i in range(r - 1, 0, -2):

@@ -59,6 +59,8 @@ from .rootsys import (
     build_diagram,
     coroot_coordinates,
     finite_type_nodes,
+    highest_root,
+    inner_form,
     pairing,
     positive_roots,
 )
@@ -366,8 +368,6 @@ class WeylGroup:
 @functools.lru_cache(maxsize=None)
 def theta_coroot(finite: DynkinDiagram) -> Vector:
     """theta^vee in the coroot basis: <alpha_j, theta^vee> = 2(alpha_j|theta)/(theta|theta)."""
-    from .rootsys import highest_root, inner_form
-
     theta = highest_root(finite)
     norm = inner_form(finite, theta, theta)
     rhs = []

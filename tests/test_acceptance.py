@@ -24,6 +24,7 @@ from cograss.checks import (
     check_min_rep_sets,
     check_nilpotent_sets,
     check_shift_bijection,
+    check_shift_root_bijection,
     check_smoothness_criteria,
     check_translation_identity,
     check_type_d_length_agreement,
@@ -91,7 +92,9 @@ def test_criterion_06_smoothness_criteria_agree():
 def test_criterion_07_shift_bijection_and_pointwise_identity():
     start = time.monotonic()
     for series, rank, d in RANK5:
-        assert check_shift_bijection(build_context(series, rank, d))
+        ctx = build_context(series, rank, d)
+        assert check_shift_root_bijection(ctx)  # the pointwise identity, once per context
+        assert check_shift_bijection(ctx)
     _stamp(7, "delta-shift bijection with pointwise identity", start, 120)
 
 

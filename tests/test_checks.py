@@ -248,3 +248,30 @@ def test_fibre_det_fails_on_a_wrong_fibre_with_asserts_stripped():
     assert run.returncode == 0, run.stderr[-2000:]
     expected = [f"n={n} r={r}" for n in range(4, 7) for r in range(0, detvar.even_rank(n), 2)]
     assert json.loads(run.stdout) == expected
+
+
+IOTA_FIXING_NODES_0_AND_D = """
+import json
+from cograss import checks, cominuscule
+
+def unswapped(self, vec):
+    out = [0] * len(vec)
+    for node, value in enumerate(vec):
+        if value:
+            out[node if node in (0, self.cominuscule_node) else self.involution[node]] = value
+    return tuple(out)
+
+cominuscule.CominusculeContext.iota_root = unswapped
+print(json.dumps([[c.check_id, c.params] for c in checks.run_suite("involution-bij", 5).failed]))
+"""
+
+
+def test_shift_identity_fails_on_a_wrong_iota_with_asserts_stripped():
+    """involution-bij-roots compares iota(w_levi(alpha)) with delta - alpha
+    explicitly, so under python -O an iota that leaves nodes 0 and d in place
+    fails that record on every context (the alpha_0 coefficient stays 0)."""
+    run = _run_with_asserts_stripped("-c", IOTA_FIXING_NODES_0_AND_D)
+    assert run.returncode == 0, run.stderr[-2000:]
+    contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
+    expected = [["involution-bij-roots", params] for params in contexts]
+    assert json.loads(run.stdout) == expected

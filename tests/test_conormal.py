@@ -305,6 +305,42 @@ def test_alpha0_test_matches_support_definition(pair):
         assert conormal.is_smooth(ctx, u).c5 == (inversions == off_levi(supp_roots))
 
 
+@pytest.mark.parametrize("pair", ALPHA0_PAIRS, ids=lambda p: "%s%d d=%d" % p)
+def test_pointwise_shift_identity_for_every_minimal_representative(pair):
+    """Oracle for the per-context identity iota(w_levi(alpha)) = delta - alpha of
+    check_shift_root_bijection: v(delta - alpha) = iota(w0(w(alpha))) for every
+    w in W^P and every cotangent root alpha, with v = iota(w0 w w_levi) built here."""
+    ctx = build_context(*pair)
+    delta = ctx.delta()
+    for w in ctx.min_reps:
+        v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
+        for alpha in ctx.cotangent_roots:
+            shifted = tuple(m - a for a, m in zip(alpha, delta))
+            assert v.act(shifted) == ctx.iota_root(ctx.w0.act(w.act(alpha)))
+
+
+@pytest.mark.parametrize("series,rank,d", RANK4_PAIRS)
+def test_shift_check_acts_once_per_affine_levi_root(series, rank, d, monkeypatch):
+    """Op-count gate: on a warm report, shift_check(ctx, w) applies v to each
+    root of Phi+_{aff Levi} and makes no act call per cotangent root."""
+    ctx = build_context(series, rank, d)
+    expected = len(positive_roots_of(ctx.group, ctx.affine_levi_nodes))
+    for w in ctx.min_reps:
+        conormal.closure_is_schubert(ctx, w)
+    real_act = AffineWeylElement.act
+    calls = []
+
+    def counting_act(self, vec):
+        calls.append(vec)
+        return real_act(self, vec)
+
+    monkeypatch.setattr(AffineWeylElement, "act", counting_act)
+    for w in ctx.min_reps:
+        calls.clear()
+        assert conormal.shift_check(ctx, w)
+        assert len(calls) == expected
+
+
 @pytest.mark.parametrize("series,rank,d", RANK4_PAIRS)
 def test_pipeline_sweeps_rank4(series, rank, d):
     ctx = build_context(series, rank, d)

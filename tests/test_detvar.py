@@ -1,5 +1,7 @@
 """Signed permutation calculus and the skew-symmetric fibre theorem."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,36 @@ def test_word_to_perm_examples():
         wj_word = detvar.perm_to_word(detvar.levi_longest_perm(n))
         assert detvar.word_to_perm(n, wj_word) == detvar.levi_longest_perm(n)
         assert detvar.levi_longest_perm(n).values == tuple(range(n, 0, -1))
+
+
+def _generator_from_window(n, i):
+    """Oracle: s_i as its product of adjacent transpositions of 1..2n."""
+    window = list(range(1, 2 * n + 1))
+    pairs = [(i, i + 1), (2 * n - i, 2 * n - i + 1)] if i < n else [(n - 1, n + 1), (n, n + 2)]
+    for a, b in pairs:
+        window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
+    return detvar.SignedPermutation(n, tuple(window[:n]))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_word_to_perm_is_the_product_of_generators(n):
+    """The in-place one-line action equals the S_{2n} product of generator
+    images, on seeded words; perm_to_word inverts it."""
+    gens = {i: _generator_from_window(n, i) for i in range(1, n + 1)}
+    assert all(detvar.generator_perm(n, i) == gens[i] for i in gens)
+    rng = random.Random(n)
+    for _ in range(40):
+        word = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 3 * n)))
+        folded = detvar.identity_perm(n)
+        for letter in word:
+            folded = folded * gens[letter]
+        assert detvar.word_to_perm(n, word) == folded
+        assert detvar.word_to_perm(n, detvar.perm_to_word(folded)) == folded
+    for bad in (0, n + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            detvar.word_to_perm(n, (1, bad))
+        with pytest.raises(ValueError, match="out of range"):
+            detvar.generator_perm(n, bad)
 
 
 def test_perm_to_word_examples():

@@ -39,6 +39,7 @@ from .weyl import (
     AffineWeylElement,
     bruhat_leq,
     demazure,
+    demazure_fold,
     is_min_rep,
     longest_element,
     min_rep,
@@ -145,9 +146,10 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
     u_wlevi = u * ctx.w_levi
 
     c6 = u == w_supp * w_supp_levi
-    c3 = demazure(u.inverse(), u_wlevi).length() == u_wlevi.length()
-    inv_uw = u_wlevi.inverse()
-    c4 = all(is_negative_vec(inv_uw.act(ctx.simple_root(node))) for node in supp)
+    u_inv = u.inverse()
+    c3 = demazure(u_inv, u_wlevi).length() == u_wlevi.length()
+    inv_uw = ctx.w_levi * u_inv  # (u w_levi)^-1, as w_levi is an involution
+    c4 = all(inv_uw.has_right_descent(node) for node in supp)
 
     supp_roots = positive_roots_of(ctx.group, supp)
     inversions = {alpha for alpha in supp_roots if is_negative_vec(u.act(alpha))}
@@ -184,10 +186,7 @@ def _fibre_top(ctx: CominusculeContext, wv: AffineWeylElement) -> AffineWeylElem
     """Maximum of the fibre index set: Demazure fold of the affine-Levi letters."""
     b = min_rep(wv, ctx.finite_nodes)
     affine_levi = set(ctx.affine_levi_nodes)
-    m = ctx.group.identity
-    for node in b.reduced_word():
-        if node in affine_levi and not m.has_right_descent(node):
-            m = m.mul_simple_right(node)
+    m = demazure_fold(ctx.group.identity, (i for i in b.reduced_word() if i in affine_levi))
     top = min_rep(m, ctx.finite_nodes)
     assert top.support() <= affine_levi, "fibre maximum leaves the affine Levi"
     assert is_min_rep(top, ctx.finite_nodes), "fibre maximum is not minimal"

@@ -429,8 +429,3 @@ def is_root(diagram: DynkinDiagram, vec: Vector) -> bool:
         if level and vec == tuple(level * m for m in diagram.delta):
             return True
     return is_real_root(diagram, vec)
-
-
-def root_leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Componentwise dominance order on coefficient vectors."""
-    return all(x <= y for x, y in zip(a, b))

@@ -41,6 +41,10 @@ w(alpha_i) < 0 and l(w) + 1 otherwise, so everything built by
 ``length()`` and keeps the result; ``reduced_word`` checks a carried
 length against the stripped one.
 
+``demazure`` and ``bruhat_leq`` read right descents only and build no inverse:
+u * w folds a reduced word of w into u on the right, and for a right descent
+s of w, u <= w iff min(u, us) <= ws (Bjorner-Brenti Prop. 2.2.7, Cor. 2.2.5).
+
 Coset sets W_S intersect W^J grow by left products alone: for u in W^J
 and a simple s, either s u is in W^J or s u = u s' with s' in J (Deodhar's
 lemma, Invent. Math. 39, 1977), so a breadth-first search keeping the left
@@ -424,7 +428,7 @@ def is_min_rep(w: AffineWeylElement, nodes: Iterable[int]) -> bool:
 
 
 def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
-    """Bruhat order via the lifting recursion, memoized per group."""
+    """Bruhat order by lifting on a right descent of w (BB Prop. 2.2.7), memoized per group."""
     if u.group is not w.group:
         raise ValueError("elements belong to different Weyl groups")
     memo = u.group._bruhat_memo
@@ -440,27 +444,29 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        binv = b.inverse()
-        node = next(i for i in b.group.diagram.nodes if binv.has_right_descent(i))
-        sa = a.mul_simple_left(node)
-        lifted = sa if sa.length() < la else a
-        result = rec(lifted, b.mul_simple_left(node))
+        node = b.first_right_descent()
+        lifted = a.mul_simple_right(node) if a.has_right_descent(node) else a
+        result = rec(lifted, b.mul_simple_right(node))
         memo[key] = result
         return result
     return rec(u, w)
 
 
+def demazure_fold(x: AffineWeylElement, letters: Iterable[int]) -> AffineWeylElement:
+    """The 0-Hecke product x * s_i over the letters: a right descent is absorbed."""
+    for node in letters:
+        if not x.has_right_descent(node):
+            x = x.mul_simple_right(node)
+    return x
+
+
 @functools.lru_cache(maxsize=None)
 def demazure(u: AffineWeylElement, w: AffineWeylElement) -> AffineWeylElement:
-    """Demazure (0-Hecke) product u * w, folding a reduced word of u into w."""
+    """Demazure (0-Hecke) product u * w: a reduced word of w folded into u on
+    the right, reading right descents only (BB Prop. 2.2.7)."""
     if u.group is not w.group:
         raise ValueError("elements belong to different Weyl groups")
-    x, xinv = w, w.inverse()
-    for node in reversed(u.reduced_word()):
-        if not xinv.has_right_descent(node):  # s_node x > x: absorb the letter
-            x = x.mul_simple_left(node)
-            xinv = xinv.mul_simple_right(node)
-    return x
+    return demazure_fold(u, w.reduced_word())
 
 
 def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],

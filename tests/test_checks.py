@@ -160,6 +160,31 @@ def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_
     assert finite_side[False] == sum(len(ctx.dual_min_reps) for ctx in contexts)
 
 
+def test_inverses_are_built_once_per_dual_element(monkeypatch, fresh_contexts):
+    """Op-count gate: the order algorithms and c4 build no inverse, so a
+    rank-5 sweep of every suite but the oracles on fresh contexts inverts at
+    most each u in W_d^0 (for c3 and the length chain) and one element per
+    intersectw record."""
+    real = weyl.AffineWeylElement.inverse
+    built = []
+
+    def counting(self):
+        if self._inv is None:
+            built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(weyl.AffineWeylElement, "inverse", counting)
+    records = Counter()
+    for suite in sorted(checks.SUITES):
+        if suite != "oracles":
+            report = run_suite(suite, 5)
+            assert report.all_pass
+            records[suite] = len(report.checks)
+    contexts = [fresh_contexts(*pair) for pair in checks.cominuscule_pairs(5)]
+    assert fresh_contexts.cache_info().currsize == len(contexts)
+    assert len(built) <= sum(len(ctx.dual_min_reps) for ctx in contexts) + records["intersectw"]
+
+
 def legacy_cominuscule_pairs(max_rank, include_e7=False):
     """Oracle: the series and rank bounds spelled out by hand."""
     for n in range(1, max_rank + 1):

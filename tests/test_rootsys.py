@@ -17,7 +17,6 @@ from cograss.rootsys import (
     pairing,
     positive_roots,
     reflect,
-    root_leq,
 )
 
 ALL_FINITE = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 8)]
@@ -121,14 +120,14 @@ def test_highest_root_is_unique_maximum(series, rank):
     d = build_diagram(series, rank)
     top = highest_root(d)
     for alpha in positive_roots(d):
-        assert root_leq(alpha, top)
+        assert all(a <= t for a, t in zip(alpha, top))
 
 
 def test_highest_root_on_connected_subdiagrams():
     d = build_diagram("E", 6, affine=True)
     for nodes in [(0, 2, 4), (3, 4, 5), (1, 3, 4, 2)]:
         top = highest_root(d, nodes)
-        assert all(root_leq(alpha, top) for alpha in positive_roots(d, nodes))
+        assert all(a <= t for alpha in positive_roots(d, nodes) for a, t in zip(alpha, top))
 
 
 def test_inner_form_examples():

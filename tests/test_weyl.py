@@ -228,12 +228,65 @@ def test_bruhat_matches_subword_oracle(series, rank):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(0, 2), max_size=8), st.lists(st.integers(0, 2), max_size=8))
 def test_affine_bruhat_matches_subword_oracle(raw_u, raw_w):
-    g = group_of("A", 2, affine=True)
-    u, w = g.from_word(raw_u), g.from_word(raw_w)
-    assert bruhat_leq(u, w) == bruhat_interval_check(u, w)
+    # B~2 and C~2 have non-symmetric Cartan matrices, where a transposed descent shows
+    for series in ("A", "B", "C"):
+        g = group_of(series, 2, affine=True)
+        u, w = g.from_word(raw_u), g.from_word(raw_w)
+        assert bruhat_leq(u, w) == bruhat_interval_check(u, w)
+
+
+def test_order_algorithms_build_no_inverse_and_no_left_product(monkeypatch):
+    """bruhat_leq and demazure read right descents only: with inverse() and
+    mul_simple_left refused, both still run on every pair of A3."""
+    g = group_of("A", 3)
+    elements = sorted(weyl_elements(g, g.diagram.nodes),
+                      key=lambda w: (w.length(), w.reduced_word()))
+    pairs = [(u, w) for u in elements for w in elements]
+    expected = [(bruhat_interval_check(u, w), left_fold_demazure(u, w)) for u, w in pairs]
+
+    def refuse(*args):
+        raise AssertionError("the order algorithms must not build an inverse or left product")
+
+    monkeypatch.setattr(AffineWeylElement, "inverse", refuse)
+    monkeypatch.setattr(AffineWeylElement, "mul_simple_left", refuse)
+    monkeypatch.setattr(g, "_bruhat_memo", {})
+    assert [(bruhat_leq(u, w), demazure.__wrapped__(u, w)) for u, w in pairs] == expected
 
 
 # -- Demazure product ---------------------------------------------------------------
+
+
+def left_fold_demazure(u, w):
+    """Oracle: u's reduced word folded into w on the left, x and x^-1 tracked together."""
+    x, xinv = w, w.inverse()
+    for node in reversed(u.reduced_word()):
+        if not xinv.has_right_descent(node):  # s_node x > x: absorb the letter
+            x = x.mul_simple_left(node)
+            xinv = xinv.mul_simple_right(node)
+    return x
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3)])
+def test_demazure_right_fold_matches_left_fold_finite(series, rank):
+    g = group_of(series, rank)
+    elements = sorted(weyl_elements(g, g.diagram.nodes),
+                      key=lambda w: (w.length(), w.reduced_word()))
+    for u in elements:
+        for w in elements:
+            assert demazure(u, w) == left_fold_demazure(u, w)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_demazure_right_fold_matches_left_fold_affine(series, rank):
+    g = group_of(series, rank, affine=True)
+    rng = random.Random(f"demazure-{series}{rank}")
+    nodes = g.diagram.nodes
+    for _ in range(60):
+        u = g.from_word(rng.choices(nodes, k=rng.randint(0, 10)))
+        w = g.from_word(rng.choices(nodes, k=rng.randint(0, 10)))
+        product = demazure(u, w)
+        assert product == left_fold_demazure(u, w)
+        assert product.length() == len(product.reduced_word())
 
 
 def test_demazure_examples():

@@ -189,7 +189,7 @@ def check_shift_root_bijection(ctx: CominusculeContext) -> bool:
     shift = {alpha: tuple(a - m for a, m in zip(alpha, delta)) for alpha in ctx.cotangent_roots}
     pointwise = all(ctx.iota_root(ctx.w_levi.act(alpha)) == tuple(-x for x in beta)
                     for alpha, beta in shift.items())
-    return (pointwise and set(shift.values()) == set(conormal._shifted_cotangent_roots(ctx))
+    return (pointwise and set(shift.values()) == ctx.shifted_cotangent_roots
             and len(ctx.cotangent_roots) == ctx.dim_quotient)
 
 

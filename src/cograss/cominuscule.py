@@ -7,8 +7,9 @@ affine Levi node set (all affine nodes minus d), the diagram involution
 swapping node 0 with node d, the longest elements of the three parabolic
 subgroups, the distinguished translation element of the affine Weyl
 group, and, built on first use, the coset sets W^P (indexing X(w) in G/P)
-and W_d^0 (holding the twisted duals), and the cotangent roots Phi+ minus
-Phi+_levi (the roots of T_eP(G/P)).
+and W_d^0 (holding the twisted duals), the cotangent roots Phi+ minus
+Phi+_levi (the roots of T_eP(G/P)) and their mirror psi in the affine Levi.
+The context owns ``conormal``'s per-element memos, so they die with it.
 
 The involution is computed from the negated longest Levi element, never
 from case tables; the type-D closed form is a test downstream.  The
@@ -20,7 +21,7 @@ a mismatch means a convention bug, so it is a hard failure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rootsys
@@ -37,7 +38,7 @@ from .weyl import (
 
 @dataclass(frozen=True, eq=False)
 class CominusculeContext:
-    """Validated bundle of data attached to one cominuscule pair."""
+    """Validated bundle of data attached to one cominuscule pair, with its memos."""
 
     series: str
     rank: int
@@ -57,6 +58,9 @@ class CominusculeContext:
     translation_coroot: Vector
     translation_element: AffineWeylElement
     dim_quotient: int
+    # conormal's per-element memos, filled on first use: w -> report, u -> smoothness
+    element_reports: dict = field(default_factory=dict, init=False, repr=False)
+    smoothness_reports: dict = field(default_factory=dict, init=False, repr=False)
 
     def iota_root(self, vec: Vector) -> Vector:
         """Apply the diagram involution to a lattice vector."""
@@ -95,6 +99,22 @@ class CominusculeContext:
         assert all(alpha[self.cominuscule_node] == 1 for alpha in roots), \
             "cominuscule coefficient must be exactly 1"
         return roots
+
+    @functools.cached_property
+    def shifted_cotangent_roots(self) -> frozenset[Vector]:
+        """psi = -(Phi+_{aff Levi} minus Phi+_levi): the negated affine-Levi roots off the Levi."""
+        off_levi = (positive_roots_of(self.group, self.affine_levi_nodes)
+                    - positive_roots_of(self.group, self.levi_nodes))
+        psi = frozenset(tuple(-x for x in beta) for beta in off_levi)
+        assert len(psi) == self.dim_quotient
+        return psi
+
+    @functools.cached_property
+    def shifted_root_sums(self) -> frozenset[Vector]:
+        """The sums x + y over x, y in psi that are roots."""
+        psi = self.shifted_cotangent_roots
+        sums = (tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi)
+        return frozenset(total for total in sums if rootsys.is_root(self.affine_diagram, total))
 
     def delta(self) -> Vector:
         return self.affine_diagram.delta

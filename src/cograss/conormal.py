@@ -22,13 +22,13 @@ index set is the lower interval below m minimised over the finite nodes,
 which is its unique maximum.
 
 Per-element data is derived once, in ``_element_report``, memoised per
-(context, w).  Everything here is a pure function of an immutable context;
+(context, w) on the context, as the smoothness report is per (context, u).
+Everything here is a pure function of the context's immutable data;
 reports are frozen dataclasses with a stable JSON rendering.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -40,7 +40,6 @@ from .weyl import (
     bruhat_leq,
     demazure,
     demazure_fold,
-    is_min_rep,
     longest_element,
     min_rep,
     positive_roots_of,
@@ -88,26 +87,25 @@ def _require_min_rep(ctx: CominusculeContext, u: AffineWeylElement, span: tuple[
                 f"element is not a minimal representative: descent at node {node}")
 
 
-@functools.lru_cache(maxsize=None)
 def _element_report(ctx: CominusculeContext, w: AffineWeylElement) -> ConormalReport:
     """The report on w and its twisted dual v without a fibre; w is validated once."""
+    if w in ctx.element_reports:
+        return ctx.element_reports[w]
     _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
     v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
-    assert v.support() <= set(ctx.affine_levi_nodes)
-    assert is_min_rep(v, ctx.finite_nodes)
     wv = w * v
     assert wv.length() == w.length() + v.length() == ctx.dim_quotient, \
         "length bookkeeping l(wv) = l(w) + l(v) = dim G/P fails"
     picked = frozenset(alpha for alpha in ctx.cotangent_roots if is_positive_vec(w.act(alpha)))
     assert len(picked) == v.length(), "conormal root count must equal l(v)"
-    smooth = is_smooth(ctx, v)
+    smooth = is_smooth(ctx, v)  # raises unless v lies in W_d^0
     chain = demazure(w, demazure(v.inverse(), demazure(v, ctx.w_levi)))
     dim_flag = len(positive_roots_of(ctx.group, ctx.finite_nodes))
     assert chain.length() >= dim_flag
     assert (chain.length() == dim_flag) == smooth.c3, \
         "length bookkeeping does not match the predicate"
-    return ConormalReport(w=w, v=v, wv=wv, roots=picked, smooth=smooth,
-                          closure_is_schubert=smooth.c3)
+    return ctx.element_reports.setdefault(w, ConormalReport(
+        w=w, v=v, wv=wv, roots=picked, smooth=smooth, closure_is_schubert=smooth.c3))
 
 
 def conormal_roots(ctx: CominusculeContext, w: AffineWeylElement) -> frozenset[Vector]:
@@ -135,9 +133,10 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     return shifted == inversions
 
 
-@functools.lru_cache(maxsize=None)
 def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport:
     """Evaluate the four equivalent smoothness criteria independently."""
+    if u in ctx.smoothness_reports:
+        return ctx.smoothness_reports[u]
     _require_min_rep(ctx, u, ctx.affine_levi_nodes, ctx.finite_nodes,
                      "affine Levi parabolic")
     supp = tuple(sorted(u.support()))
@@ -158,7 +157,7 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
     report = SmoothnessReport(c3=c3, c4=c4, c5=c5, c6=c6, support=supp,
                               witness=(w_supp, w_supp_levi))
     assert c3 == c4 == c5 == c6, f"smoothness criteria disagree: {report}"
-    return report
+    return ctx.smoothness_reports.setdefault(u, report)
 
 
 def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
@@ -189,7 +188,6 @@ def _fibre_top(ctx: CominusculeContext, wv: AffineWeylElement) -> AffineWeylElem
     m = demazure_fold(ctx.group.identity, (i for i in b.reduced_word() if i in affine_levi))
     top = min_rep(m, ctx.finite_nodes)
     assert top.support() <= affine_levi, "fibre maximum leaves the affine Levi"
-    assert is_min_rep(top, ctx.finite_nodes), "fibre maximum is not minimal"
     assert bruhat_leq(top, b), "fibre maximum is not below min_rep(wv)"
     return top
 
@@ -213,29 +211,20 @@ def fibre_maximal(ctx: CominusculeContext,
     return frozenset({_fibre_top(ctx, report.wv)})
 
 
-def _shifted_cotangent_roots(ctx: CominusculeContext) -> list[Vector]:
-    """psi = -(Phi+_{aff Levi} minus Phi+_levi): the negated affine-Levi roots off the Levi."""
-    off_levi = (positive_roots_of(ctx.group, ctx.affine_levi_nodes)
-                - positive_roots_of(ctx.group, ctx.levi_nodes))
-    psi = [tuple(-x for x in beta) for beta in off_levi]
-    assert len(psi) == ctx.dim_quotient
-    return psi
-
-
 def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
     """Closure and sign conditions for the shifted cotangent root set plus gamma.
 
     gamma must be a finite simple root or the negative of a Levi simple
     root.  Checks that the set is closed under root addition and that
     the two witness elements send it into the positive and negative
-    roots respectively.  Sums within psi come from ``_psi_root_sums``;
-    only the sums with gamma are tested per call.
+    roots respectively.  Sums within psi come from the context's
+    ``shifted_root_sums``; only the sums with gamma are tested per call.
     """
     admissible = {ctx.simple_root(i): i for i in ctx.finite_nodes}
     admissible_neg = {tuple(-x for x in ctx.simple_root(i)): i for i in ctx.levi_nodes}
     d = ctx.cominuscule_node
     group = ctx.group
-    psi = _shifted_cotangent_roots(ctx)
+    psi = ctx.shifted_cotangent_roots
 
     if gamma in admissible:
         node = admissible[gamma]
@@ -253,9 +242,9 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
             "gamma must be a finite simple root or a negated Levi simple root")
 
     members = set(psi) | {gamma}
-    if not _psi_root_sums(ctx) <= members:
+    if not ctx.shifted_root_sums <= members:
         return False
-    for x in psi + [gamma]:
+    for x in (*psi, gamma):
         total = tuple(a + b for a, b in zip(x, gamma))
         if rootsys.is_root(ctx.affine_diagram, total) and total not in members:
             return False
@@ -267,17 +256,9 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=None)
-def _psi_root_sums(ctx: CominusculeContext) -> frozenset[Vector]:
-    """The sums x + y over x, y in psi that are roots, computed once per context."""
-    psi = _shifted_cotangent_roots(ctx)
-    sums = (tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi)
-    return frozenset(total for total in sums if rootsys.is_root(ctx.affine_diagram, total))
-
-
 def pairwise_sums_not_roots(ctx: CominusculeContext) -> bool:
     """No two elements of the shifted cotangent root set sum to a root."""
-    return not _psi_root_sums(ctx)
+    return not ctx.shifted_root_sums
 
 
 def report_to_dict(ctx: CominusculeContext, report: ConormalReport) -> dict:

@@ -369,7 +369,6 @@ class WeylGroup:
                 "semidirect convention mismatch: s_0 != (s_theta, -theta^vee)")
 
 
-@functools.lru_cache(maxsize=None)
 def theta_coroot(finite: DynkinDiagram) -> Vector:
     """theta^vee in the coroot basis: <alpha_j, theta^vee> = 2(alpha_j|theta)/(theta|theta)."""
     theta = highest_root(finite)

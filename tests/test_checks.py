@@ -1,6 +1,7 @@
 """The verify runner: one guard per instance, timing that excludes set-up."""
 
 import functools
+import gc
 import importlib
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -70,7 +72,8 @@ def test_all_at_rank_zero_runs_the_oracles():
 
 def test_benchmark_entry_points_resolve():
     """Every name the traced benchmark run wraps, and what its golden recorder
-    imports, still exists in the library."""
+    imports, still exists in the library; the two memos whose hit counts the
+    traced summary reads are still lru_caches."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", REPO / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -85,18 +88,47 @@ def test_benchmark_entry_points_resolve():
             missing += [f"{target}.{attr}" for attr in attrs
                         if attr not in (vars(owner) if cls_name else dir(owner))]
     assert missing == []
+    assert hasattr(weyl.demazure, "cache_info")
+    assert hasattr(cominuscule.build_context, "cache_info")
     assert isinstance(checks.SUITES, dict) and "all" not in checks.SUITES
     assert callable(checks.cominuscule_pairs)
 
 
 @pytest.fixture
 def fresh_contexts(monkeypatch):
-    """A private build_context cache for the checks and detvar, so that every
-    memo keyed by a context starts cold, whatever ran before."""
+    """A private build_context cache for the checks and detvar.  Each context
+    owns its per-element memos, so fresh contexts bring fresh memos by
+    construction, whatever ran before."""
     fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
     for module in (checks, detvar):
         monkeypatch.setattr(module, "build_context", fresh)
     return fresh
+
+
+def test_dropped_contexts_are_freed_with_their_memos():
+    """Lifetime gate: no module-level cache holds a context.  Each context to
+    rank 6 is built outside build_context's cache, swept by every
+    context-scoped check and dropped; afterwards none is alive.  Its memos
+    hold exactly W^P and W_d^0, and an element the library rejects leaves
+    no entry in them."""
+    scoped = [check for entries in checks.SUITES.values()
+              for _, scope, check in entries if scope is checks._contexts]
+    refs = []
+    for pair in checks.cominuscule_pairs(6):
+        ctx = cominuscule.build_context.__wrapped__(*pair)
+        for check in scoped:
+            assert check(ctx), (check.__name__, pair)
+        with pytest.raises(ValueError):
+            conormal.conormal_roots(ctx, ctx.group.simple[0])
+        with pytest.raises(ValueError):
+            conormal.is_smooth(ctx, ctx.group.simple[ctx.cominuscule_node])
+        assert set(ctx.element_reports) == ctx.min_reps
+        assert set(ctx.smoothness_reports) == ctx.dual_min_reps
+        refs.append(weakref.ref(ctx))
+    del ctx
+    gc.collect()
+    assert len(refs) == 42
+    assert sum(ref() is not None for ref in refs) == 0
 
 
 def test_finite_type_is_decided_without_the_determinant(monkeypatch, fresh_contexts):

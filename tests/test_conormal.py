@@ -229,11 +229,12 @@ def _nilpotent_oracle(ctx, psi, gamma):
 
 
 @pytest.mark.parametrize("pair", RANK4_PAIRS, ids=lambda p: "%s%d d=%d" % p)
-def test_nilpotent_set_check_matches_all_pairs_oracle(pair, monkeypatch):
+def test_nilpotent_set_check_matches_all_pairs_oracle(pair):
     """The per-context psi + psi sums give the all-pairs answer, also on sets
-    other than psi: random root sets, and sets where a psi + psi sum is gamma."""
-    ctx = build_context(*pair)
-    real_psi = conormal._shifted_cotangent_roots(ctx)
+    other than psi: random root sets, and sets where a psi + psi sum is gamma.
+    The context is fresh, so overriding its psi touches no shared context."""
+    ctx = cominuscule.build_context.__wrapped__(*pair)
+    real_psi = ctx.shifted_cotangent_roots
     gammas = [ctx.simple_root(i) for i in ctx.finite_nodes]
     gammas += [tuple(-x for x in ctx.simple_root(i)) for i in ctx.levi_nodes]
     pool = sorted(set(real_psi) | set(gammas)
@@ -245,21 +246,18 @@ def test_nilpotent_set_check_matches_all_pairs_oracle(pair, monkeypatch):
         for k in ctx.finite_nodes:
             alpha_jk = tuple(a + b for a, b in zip(ctx.simple_root(j), ctx.simple_root(k)))
             if j != k and rootsys.is_root(ctx.affine_diagram, alpha_jk):
-                candidates.append(real_psi + [alpha_jk, tuple(-x for x in ctx.simple_root(k))])
+                candidates.append([*real_psi, alpha_jk, tuple(-x for x in ctx.simple_root(k))])
     outcomes = set()
-    try:
-        for psi in candidates:
-            conormal._psi_root_sums.cache_clear()
-            monkeypatch.setattr(conormal, "_shifted_cotangent_roots", lambda c, psi=psi: psi)
-            sums = {tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi}
-            assert conormal.pairwise_sums_not_roots(ctx) == \
-                (not any(rootsys.is_root(ctx.affine_diagram, s) for s in sums))
-            for gamma in gammas:
-                expected = _nilpotent_oracle(ctx, psi, gamma)
-                assert conormal.nilpotent_set_check(ctx, gamma) == expected
-                outcomes.add((expected, gamma in sums))
-    finally:
-        conormal._psi_root_sums.cache_clear()
+    for psi in candidates:
+        vars(ctx)["shifted_cotangent_roots"] = psi
+        vars(ctx).pop("shifted_root_sums", None)
+        sums = {tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi}
+        assert conormal.pairwise_sums_not_roots(ctx) == \
+            (not any(rootsys.is_root(ctx.affine_diagram, s) for s in sums))
+        for gamma in gammas:
+            expected = _nilpotent_oracle(ctx, psi, gamma)
+            assert conormal.nilpotent_set_check(ctx, gamma) == expected
+            outcomes.add((expected, gamma in sums))
     if ctx.rank > 1:  # A1 has too few roots to make a set that fails
         assert {expected for expected, _ in outcomes} == {True, False}
         assert any(in_sums for _, in_sums in outcomes)
@@ -296,7 +294,7 @@ def test_alpha0_test_matches_support_definition(pair):
     assert ctx.cotangent_roots == cotangent
     assert all(alpha[ctx.cominuscule_node] == 1 for alpha in ctx.cotangent_roots)
     assert len(ctx.cotangent_roots) == ctx.dim_quotient
-    psi = conormal._shifted_cotangent_roots(ctx)
+    psi = ctx.shifted_cotangent_roots
     assert sorted(psi) == sorted(tuple(-x for x in beta) for beta in
                                  off_levi(positive_roots_of(ctx.group, ctx.affine_levi_nodes)))
     for u in enumerate_min_reps(ctx.group, ctx.affine_levi_nodes, ctx.finite_nodes):

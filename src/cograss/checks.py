@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Optional
 
 from . import conormal, detvar
 from .cominuscule import CominusculeContext, build_context, cominuscule_nodes
-from .rootsys import _E_RANKS, _RANK_BOUNDS, build_diagram, inner_form, is_connected
+from .rootsys import _E_RANKS, _RANK_BOUNDS, build_diagram, highest_root, inner_form, is_connected
 from .weyl import (
     WeylGroup,
     bruhat_leq,
@@ -34,6 +34,7 @@ from .weyl import (
     demazure,
     enumerate_min_reps,
     min_rep,
+    positive_roots_of,
     weyl_elements,
 )
 
@@ -78,10 +79,13 @@ def cominuscule_pairs(max_rank: int, include_e7: bool = False,
 
 
 def check_wsontheta(ctx: CominusculeContext) -> bool:
-    d = ctx.cominuscule_node
-    ok = ctx.w_levi.act(ctx.simple_root(d)) == ctx.highest_root_finite
-    ok &= ctx.w_levi.act(ctx.simple_root(0)) == ctx.highest_root_affine_levi
-    return ok
+    """w_levi(alpha_d) = theta_0, the embedded finite highest root, and
+    w_levi(alpha_0) = theta_d = delta - alpha_d, the highest root of the affine Levi."""
+    theta0, thetad = ctx.highest_root_finite, ctx.highest_root_affine_levi
+    return (theta0 == (0,) + highest_root(ctx.finite_diagram)
+            and thetad == highest_root(ctx.affine_diagram, ctx.affine_levi_nodes)
+            and ctx.w_levi.act(ctx.simple_root(ctx.cominuscule_node)) == theta0
+            and ctx.w_levi.act(ctx.simple_root(0)) == thetad)
 
 
 def check_form_invariance(ctx: CominusculeContext) -> bool:
@@ -134,7 +138,7 @@ def check_min_rep_sets(ctx: CominusculeContext) -> bool:
     if ctx.dual_min_reps != enumerate_min_reps(group, ctx.affine_levi_nodes, ctx.levi_nodes):
         return False
     for w in ctx.min_reps:
-        report = conormal.closure_is_schubert(ctx, w)  # asserts v in W_d^0 and the lengths
+        report = conormal.closure_is_schubert(ctx, w)  # raises unless v lies in W_d^0
         if report.v not in ctx.dual_min_reps:
             return False
         if not report.wv.length() == w.length() + report.v.length() == ctx.dim_quotient:
@@ -151,24 +155,35 @@ def check_connected_support(ctx: CominusculeContext) -> bool:
 
 def check_smoothness_criteria(ctx: CominusculeContext) -> bool:
     for u in ctx.dual_min_reps:
-        report = conormal.is_smooth(ctx, u)  # raises if the criteria disagree
+        report = conormal.is_smooth(ctx, u)
         if not (report.c3 == report.c4 == report.c5 == report.c6):
             return False
     return True
 
 
 def check_shift_bijection(ctx: CominusculeContext) -> bool:
-    return all(conormal.shift_check(ctx, w) for w in ctx.min_reps)
+    """The delta-shift carries R(w) onto the affine-Levi inversions of v, and |R(w)| = l(v)."""
+    for w in ctx.min_reps:
+        report = conormal.closure_is_schubert(ctx, w)
+        if not (conormal.shift_check(ctx, w) and len(report.roots) == report.v.length()):
+            return False
+    return True
 
 
 def check_main_predicate(ctx: CominusculeContext) -> bool:
-    """Schubert-closure predicate vs criterion (6), with length bookkeeping."""
+    """Schubert-closure predicate vs criterion (6), with the length chain:
+    l(w * v^-1 * v * w_levi) >= dim G/B, with equality iff the closure is Schubert."""
+    dim_flag = len(positive_roots_of(ctx.group, ctx.finite_nodes))
     for w in ctx.min_reps:
         report = conormal.closure_is_schubert(ctx, w)
         if report.closure_is_schubert != report.smooth.c6:
             return False
         recovered = ctx.iota_elem(report.v) * ctx.w_levi
         if recovered != ctx.w0 * w:
+            return False
+        v = report.v
+        chain = demazure(w, demazure(v.inverse(), demazure(v, ctx.w_levi))).length()
+        if chain < dim_flag or (chain == dim_flag) != report.closure_is_schubert:
             return False
     return True
 
@@ -182,15 +197,18 @@ def check_nilpotent_sets(ctx: CominusculeContext) -> bool:
 
 
 def check_shift_root_bijection(ctx: CominusculeContext) -> bool:
-    """alpha -> alpha - delta maps the cotangent roots onto the shifted set, and
-    iota(w_levi(alpha)) = delta - alpha on each: with v = iota(w0 w w_levi) that is
-    the pointwise shift identity v(delta - alpha) = iota(w0(w(alpha))) for every w."""
+    """alpha -> alpha - delta maps the cotangent roots, each with alpha_d coefficient 1,
+    onto the shifted set, and iota(w_levi(alpha)) = delta - alpha on each: with
+    v = iota(w0 w w_levi) that is the pointwise shift identity
+    v(delta - alpha) = iota(w0(w(alpha))) for every w."""
     delta = ctx.delta()
     shift = {alpha: tuple(a - m for a, m in zip(alpha, delta)) for alpha in ctx.cotangent_roots}
     pointwise = all(ctx.iota_root(ctx.w_levi.act(alpha)) == tuple(-x for x in beta)
                     for alpha, beta in shift.items())
+    d = ctx.cominuscule_node
     return (pointwise and set(shift.values()) == ctx.shifted_cotangent_roots
-            and len(ctx.cotangent_roots) == ctx.dim_quotient)
+            and len(ctx.cotangent_roots) == ctx.dim_quotient
+            and all(alpha[d] == 1 for alpha in ctx.cotangent_roots))
 
 
 # -- oracle-level checks -----------------------------------------------------------

@@ -7,9 +7,12 @@ fibre decomposition), ``detvar`` (the skew-symmetric determinantal
 fibre theorem for one (n, r)), and ``verify`` (named lemma sweeps with
 a pass/fail exit code).
 
-Exit codes: 0 on success or all-pass, 1 on any failed check, 2 on usage
-errors including precondition violations from the library; a ``verify``
-sweep that the rank cap leaves without a single check is one of them.
+Exit codes: 0 on success or all-pass; 1 on any failed check, and on a
+broken library invariant (``InvariantError``), reported on stderr as
+``invariant violated: <msg>`` with nothing on stdout; 2 on usage errors
+including precondition violations from the library (``ValueError``); a
+``verify`` sweep that the rank cap leaves without a single check is one
+of them.
 JSON output is byte-stable for fixed inputs: keys are sorted and no
 timing data is emitted unless --timing is given.
 """
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import checks, conormal, detvar
 from .cominuscule import build_context, cominuscule_nodes
-from .rootsys import build_diagram, highest_root, positive_roots
+from .rootsys import InvariantError, build_diagram, highest_root, positive_roots
 
 
 def _parse_element(ctx, text: str):
@@ -228,7 +231,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

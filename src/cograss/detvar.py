@@ -37,6 +37,7 @@ from typing import Sequence
 
 from . import conormal
 from .cominuscule import CominusculeContext, build_context
+from .rootsys import InvariantError, require
 from .weyl import AffineWeylElement, longest_element, min_rep
 
 
@@ -90,7 +91,7 @@ class SignedPermutation:
         inv = sum(1 for a in range(2 * self.n) for b in range(a + 1, 2 * self.n)
                   if win[a] > win[b])
         neg = sum(1 for v in self.values if v > self.n)
-        assert (inv - neg) % 2 == 0
+        require((inv - neg) % 2 == 0, "type-D inversion count has the wrong parity")
         return (inv - neg) // 2
 
     def __str__(self) -> str:
@@ -169,12 +170,12 @@ def skew_rank_element(n: int, r: int) -> SignedPermutation:
         raise ValueError(f"r must satisfy 0 <= r <= {nbar} for n={n}")
     values = tuple(range(r + 1, n + 1)) + tuple(range(2 * n - r + 1, 2 * n + 1))
     perm = SignedPermutation(n, values)
-    assert not any(_has_right_descent(values, i) for i in range(1, n)), \
-        "rank stratum element must be a minimal representative"
+    require(not any(_has_right_descent(values, i) for i in range(1, n)),
+            "rank stratum element must be a minimal representative")
     factored = identity_perm(n)
     for i in range(r - 1, 0, -2):
         factored = factored * chain_perm(n, i)
-    assert factored == perm, "chain factorization of the rank stratum fails"
+    require(factored == perm, "chain factorization of the rank stratum fails")
     return perm
 
 
@@ -197,9 +198,9 @@ def chain_word(n: int, i: int) -> tuple[int, ...]:
 def chain_perm(n: int, i: int) -> SignedPermutation:
     """The chain element x_i evaluated in the S_{2n} model (built once per (n, i))."""
     perm = word_to_perm(n, chain_word(n, i))
-    assert perm.length() == 2 * (n - 1 - i) + 1, "chain element length formula fails"
     closed = tuple(range(1, i)) + tuple(range(i + 2, n + 1)) + (2 * n - i, 2 * n - i + 1)
-    assert perm.values == closed, "closed one-line form of the chain element fails"
+    require(perm.values == closed, "closed one-line form of the chain element fails")
+    require(perm.length() == 2 * (n - 1 - i) + 1, "chain element length formula fails")
     return perm
 
 
@@ -317,18 +318,17 @@ def fibre_rank(n: int, r: int) -> tuple[int, SignedPermutation]:
     perm = skew_rank_element(n, r)
     nbar = even_rank(n)
     ctx = build_context("D", n, n)
-    if not dual_stratum_holds(n, r):
-        raise AssertionError("dual stratum identities fail")
+    require(dual_stratum_holds(n, r), "dual stratum identities fail")
 
     witness = skew_rank_element(n, nbar - r)
     (top,) = conormal.fibre_maximal(ctx, element_of(ctx, perm))
-    assert top == ctx.iota_elem(element_of(ctx, witness)), \
-        "fibre maximum does not match the involuted co-rank stratum"
+    require(top == ctx.iota_elem(element_of(ctx, witness)),
+            "fibre maximum does not match the involuted co-rank stratum")
     label = word_to_perm(n, ctx.iota_elem(top).reduced_word())
     rank = sum(1 for value in label.values if value > n)
     k = rank // 2
     if top.length() != k * (2 * n - 2 * k - 1):
-        raise AssertionError(
+        raise InvariantError(
             f"fibre label length {top.length()} is not the dimension of the rank-{rank} locus")
     return rank, witness
 

@@ -11,7 +11,8 @@ Fraction) tuples indexed by the diagram's nodes; no floating point is
 used anywhere.  The affine Cartan matrix is not tabulated: it is derived
 from the finite highest root theta and the invariant bilinear form, and
 the resulting mark vector is checked to span the kernel of the affine
-Cartan matrix.
+Cartan matrix.  A broken invariant, here or in any later layer, raises
+``InvariantError``, which ``python -O`` does not strip.
 """
 
 from __future__ import annotations
@@ -19,13 +20,23 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[int, ...]
 
 _RANK_BOUNDS = {"A": 1, "B": 2, "C": 2, "D": 4}
 _E_RANKS = (6, 7, 8)
+
+
+class InvariantError(Exception):
+    """An internal invariant of cograss is broken: a bug, not a usage error."""
+
+
+def require(cond: bool, msg: str) -> None:
+    """Raise ``InvariantError(msg)`` unless ``cond`` holds."""
+    if not cond:
+        raise InvariantError(msg)
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,6 @@ class DynkinDiagram:
     def delta(self) -> Vector:
         if not self.affine:
             raise ValueError("delta exists only for affine diagrams")
-        assert self.marks is not None
         return self.marks
 
     def simple_root(self, node: int) -> Vector:
@@ -90,13 +100,11 @@ def _edges(series: str, rank: int) -> list[tuple[int, int, int, int]]:
         edges.append((rank - 2, rank - 1, -1, -1))
         edges.append((rank - 2, rank, -1, -1))
         return edges
-    if series == "E":
-        spine = [(1, 3), (3, 4), (4, 5), (5, 6)]
-        spine += [(6, 7)] if rank >= 7 else []
-        spine += [(7, 8)] if rank == 8 else []
-        spine.append((2, 4))
-        return [(a, b, -1, -1) for a, b in spine]
-    raise AssertionError(series)
+    spine = [(1, 3), (3, 4), (4, 5), (5, 6)]  # series E, validated by the caller
+    spine += [(6, 7)] if rank >= 7 else []
+    spine += [(7, 8)] if rank == 8 else []
+    spine.append((2, 4))
+    return [(a, b, -1, -1) for a, b in spine]
 
 
 def _minimal_symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -114,14 +122,9 @@ def _minimal_symmetrizer(cartan: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 if i != j and cartan[i][j] != 0 and d[j] is None:
                     d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
                     stack.append(j)
-    denom = 1
-    for x in d:
-        assert x is not None
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in d]  # type: ignore[arg-type]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    denom = lcm(*(x.denominator for x in d))  # type: ignore[union-attr]
+    ints = [int(x * denom) for x in d]  # type: ignore[operator]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -212,8 +215,8 @@ def _finite_diagram(series: str, rank: int) -> DynkinDiagram:
         symmetrizer=_minimal_symmetrizer(cartan),
     )
     _validate_cartan(finite)
-    if not _leading_minors_positive(_symmetrized(finite)):
-        raise AssertionError("finite Cartan matrix is not positive definite")
+    require(_leading_minors_positive(_symmetrized(finite)),
+            "finite Cartan matrix is not positive definite")
     return finite
 
 
@@ -229,13 +232,14 @@ def _affine_diagram(series: str, rank: int) -> DynkinDiagram:
         pair = _sym_form(finite, theta, finite.simple_root(j))
         c0j = Fraction(-2 * pair, theta_norm)
         cj0 = Fraction(-pair, d[j - 1])
-        assert c0j.denominator == 1 and cj0.denominator == 1
+        require(c0j.denominator == 1 and cj0.denominator == 1,
+                "affine Cartan entries are not integral")
         aff[0][j] = int(c0j)
         aff[j][0] = int(cj0)
         for k in range(1, rank + 1):
             aff[j][k] = finite.cartan[j - 1][k - 1]
     marks = (1,) + theta
-    assert theta_norm % 2 == 0
+    require(theta_norm % 2 == 0, "(theta|theta) is odd")
     diagram = DynkinDiagram(
         series=series, rank=rank, affine=True,
         nodes=tuple(range(rank + 1)),
@@ -244,29 +248,23 @@ def _affine_diagram(series: str, rank: int) -> DynkinDiagram:
         marks=marks,
     )
     _validate_cartan(diagram)
-    for i in range(rank + 1):
-        assert sum(diagram.cartan[i][j] * marks[j] for j in range(rank + 1)) == 0, \
-            "marks are not in the kernel of the affine Cartan matrix"
-    g = 0
-    for m in marks:
-        g = gcd(g, m)
-    assert g == 1 and marks[0] == 1
+    require(all(sum(c * m for c, m in zip(row, marks)) == 0 for row in diagram.cartan),
+            "marks are not in the kernel of the affine Cartan matrix")
+    require(gcd(*marks) == 1 and marks[0] == 1, "marks are not primitive with mark 1 at node 0")
     return diagram
 
 
 def _validate_cartan(diagram: DynkinDiagram) -> None:
     c = diagram.cartan
     n = len(c)
-    for i in range(n):
-        assert c[i][i] == 2
-        for j in range(n):
-            if i != j:
-                assert c[i][j] <= 0
-                assert (c[i][j] == 0) == (c[j][i] == 0)
     d = diagram.symmetrizer
     for i in range(n):
+        require(c[i][i] == 2, "Cartan diagonal entry is not 2")
         for j in range(n):
-            assert d[i] * c[i][j] == d[j] * c[j][i], "symmetrizer failure"
+            if i != j:
+                require(c[i][j] <= 0, "off-diagonal Cartan entry is positive")
+                require((c[i][j] == 0) == (c[j][i] == 0), "Cartan zero pattern is not symmetric")
+            require(d[i] * c[i][j] == d[j] * c[j][i], "symmetrizer failure")
 
 
 def _symmetrized(diagram: DynkinDiagram) -> list[list[int]]:
@@ -379,7 +377,7 @@ def highest_root(diagram: DynkinDiagram,
         raise ValueError(f"node set {tuple(chosen)} is disconnected: no highest root")
     roots = positive_roots(diagram, chosen)
     top = tuple(max(r[k] for r in roots) for k in range(len(diagram.nodes)))
-    assert top in roots, "componentwise maximum is not a root"
+    require(top in roots, "componentwise maximum is not a root")
     return top
 
 

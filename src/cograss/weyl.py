@@ -59,6 +59,7 @@ from typing import Iterable, Optional, Sequence
 
 from .rootsys import (
     DynkinDiagram,
+    InvariantError,
     Vector,
     build_diagram,
     coroot_coordinates,
@@ -67,6 +68,7 @@ from .rootsys import (
     inner_form,
     pairing,
     positive_roots,
+    require,
 )
 
 
@@ -183,7 +185,8 @@ class AffineWeylElement:
             mu = []
             for col, di in zip(self.cols, d):
                 height, rem = divmod(sum(map(mul, col, d)), di)
-                assert rem == 0, "coroot height is not integral"
+                if rem:
+                    raise InvariantError("coroot height is not integral")
                 mu.append(height)
             cartan_col = group._cartan_col
             first = group.diagram.nodes[0]
@@ -197,8 +200,10 @@ class AffineWeylElement:
                 for i, c in cartan_col[j]:
                     mu[i] -= m * c
                 trace.append(first + j)
-            assert all(m == 1 for m in mu), "strip does not end on rho"
-            assert self._len is None or self._len == len(trace), "carried length is wrong"
+            if any(m != 1 for m in mu):
+                raise InvariantError("strip does not end on rho")
+            if self._len is not None and self._len != len(trace):
+                raise InvariantError("carried length is wrong")
             self._word = tuple(reversed(trace))
         return self._word
 
@@ -231,7 +236,7 @@ class AffineWeylElement:
         # alpha_0 coordinate of w(alpha_j) is -<alpha_j, q>, i.e. -(C^T q)_j
         q = coroot_coordinates(group.finite_diagram,
                                [-self.cols[j][0] for j in range(1, n + 1)])
-        assert all(x.denominator == 1 for x in q), "translation part is not integral"
+        require(all(x.denominator == 1 for x in q), "translation part is not integral")
         qi = tuple(int(x) for x in q)
         delta = diagram.delta
         ucols = []
@@ -364,8 +369,7 @@ class WeylGroup:
         s_theta = self.embed_finite_matrix(tuple(scols))
         theta_covec = theta_coroot(finite)
         candidate = s_theta * self.from_translation(tuple(-x for x in theta_covec))
-        if candidate != self.simple[0]:
-            raise AssertionError(
+        require(candidate == self.simple[0],
                 "semidirect convention mismatch: s_0 != (s_theta, -theta^vee)")
 
 
@@ -376,10 +380,10 @@ def theta_coroot(finite: DynkinDiagram) -> Vector:
     rhs = []
     for j in finite.nodes:
         num = 2 * inner_form(finite, finite.simple_root(j), theta)
-        assert num % norm == 0
+        require(num % norm == 0, "2(alpha_j|theta)/(theta|theta) is not integral")
         rhs.append(num // norm)
     sol = coroot_coordinates(finite, rhs)
-    assert all(x.denominator == 1 for x in sol)
+    require(all(x.denominator == 1 for x in sol), "theta^vee left the coroot lattice")
     return tuple(int(x) for x in sol)
 
 
@@ -495,8 +499,8 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
                     fresh.append(x)
         frontier = fresh
     expected, order_both = weyl_order(group.diagram, span), weyl_order(group.diagram, both)
-    assert expected % order_both == 0 and len(reps) == expected // order_both, \
-        "minimal representative count does not match the index"
+    if expected % order_both or len(reps) != expected // order_both:
+        raise InvariantError("minimal representative count does not match the index")
     return frozenset(reps)
 
 
@@ -521,7 +525,7 @@ def weyl_order(diagram: DynkinDiagram, nodes: Iterable[int]) -> int:
 
 
 def bruhat_interval_check(u: AffineWeylElement, w: AffineWeylElement) -> bool:
-    """Subword-oracle comparison; exists for tests of bruhat_leq only."""
+    """Subword oracle for bruhat_leq, run by the ``bruhat-oracle`` check and the tests."""
     word = w.reduced_word()
     group = u.group
     reachable = {group.identity}

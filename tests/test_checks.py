@@ -1,5 +1,6 @@
 """The verify runner: one guard per instance, timing that excludes set-up."""
 
+import ast
 import functools
 import gc
 import importlib
@@ -195,8 +196,8 @@ def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_
 def test_inverses_are_built_once_per_dual_element(monkeypatch, fresh_contexts):
     """Op-count gate: the order algorithms and c4 build no inverse, so a
     rank-5 sweep of every suite but the oracles on fresh contexts inverts at
-    most each u in W_d^0 (for c3 and the length chain) and one element per
-    intersectw record."""
+    most each u in W_d^0 (once, for c3; main-result's length chain reuses the
+    inverse built on the report's v) and one element per intersectw record."""
     real = weyl.AffineWeylElement.inverse
     built = []
 
@@ -332,3 +333,83 @@ def test_shift_identity_fails_on_a_wrong_iota_with_asserts_stripped():
     contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
     expected = [["involution-bij-roots", params] for params in contexts]
     assert json.loads(run.stdout) == expected
+
+
+def test_library_holds_no_assert():
+    """Gate: every invariant is an explicit check that python -O keeps, so the
+    package holds no assert statement and never names AssertionError."""
+    paths = sorted((REPO / "src" / "cograss").glob("*.py"))
+    assert len(paths) >= 9
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Name) and node.id == "AssertionError"]
+    assert found == []
+
+
+PLAIN_PRODUCT_CHAIN = """
+import json
+from cograss import checks
+checks.demazure = lambda u, w: u * w
+print(json.dumps([[c.params, c.note] for c in checks.run_suite("main-result", 5).failed]))
+"""
+
+
+def test_main_result_checks_the_length_chain_with_asserts_stripped():
+    """main-result compares l(w * v^-1 * v * w_levi) with dim G/B explicitly, so
+    under python -O a chain built from plain products (w w_levi, too short at
+    w = e) fails that record on every context, with no exception raised."""
+    run = _run_with_asserts_stripped("-c", PLAIN_PRODUCT_CHAIN)
+    assert run.returncode == 0, run.stderr[-2000:]
+    contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
+    assert json.loads(run.stdout) == [[params, ""] for params in contexts]
+
+
+CARRIED_LENGTH_OFF_BY_ONE = """
+from cograss import cli, weyl
+real = weyl.AffineWeylElement.mul_simple_right
+
+def off_by_one(self, node):
+    x = real(self, node)
+    if x._len is not None:
+        x._len += 1
+    return x
+
+weyl.AffineWeylElement.mul_simple_right = off_by_one
+raise SystemExit(cli.main(["conormal", "--type", "A", "--rank", "3", "--comin", "2",
+                           "--w", "2", "--json"]))
+"""
+
+S_N_WITHOUT_SWAP = """
+from cograss import cli, detvar
+real = detvar._mul_simple_right
+
+def unswapped(values, i):
+    n = len(values)
+    if i < n:
+        return real(values, i)
+    values[n - 2], values[n - 1] = 2 * n + 1 - values[n - 2], 2 * n + 1 - values[n - 1]
+
+detvar._mul_simple_right = unswapped
+raise SystemExit(cli.main(["detvar", "--n", "6", "--r", "2", "--json"]))
+"""
+
+FLAT_SYMMETRIZER = """
+from cograss import cli, rootsys
+rootsys._minimal_symmetrizer = lambda cartan: (1,) * len(cartan)
+raise SystemExit(cli.main(["roots", "--type", "B", "--rank", "3", "--json"]))
+"""
+
+
+@pytest.mark.parametrize("script, message", [
+    (CARRIED_LENGTH_OFF_BY_ONE, "carried length is wrong"),
+    (S_N_WITHOUT_SWAP, "closed one-line form of the chain element fails"),
+    (FLAT_SYMMETRIZER, "symmetrizer failure"),
+], ids=["weyl-reduced-word", "detvar-chain-perm", "rootsys-build-diagram"])
+def test_broken_invariant_exits_1_with_asserts_stripped(script, message):
+    """One sabotaged invariant per layer: under python -O the library still
+    raises InvariantError, which the CLI turns into exit 1 with the message
+    on stderr and nothing on stdout."""
+    run = _run_with_asserts_stripped("-c", script)
+    assert (run.returncode, run.stdout) == (1, ""), run.stderr[-2000:]
+    assert run.stderr == f"invariant violated: {message}\n"

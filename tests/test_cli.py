@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from cograss import cli
 from cograss.cli import main
+from cograss.rootsys import InvariantError
 
 
 def run(capsys, *argv):
@@ -32,6 +34,20 @@ def test_roots_invalid_rank_exits_2(capsys):
     code, _, err = run(capsys, "roots", "--type", "D", "--rank", "3")
     assert code == 2
     assert "rank >= 4" in err
+
+
+def test_broken_invariant_exits_1_and_usage_error_exits_2(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantError("carried length is wrong")
+
+    monkeypatch.setattr(cli.conormal, "closure_is_schubert", broken)
+    code, out, err = run(capsys, "conormal", "--type", "A", "--rank", "3",
+                         "--comin", "2", "--w", "2", "--json")
+    assert (code, out) == (1, "")
+    assert err == "invariant violated: carried length is wrong\n"
+    code, out, err = run(capsys, "roots", "--type", "D", "--rank", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "rank >= 4" in err
 
 
 def test_smooth_identity(capsys):

@@ -8,8 +8,12 @@ swapping node 0 with node d, the longest elements of the three parabolic
 subgroups, the distinguished translation element of the affine Weyl
 group, and, built on first use, the coset sets W^P (indexing X(w) in G/P)
 and W_d^0 (holding the twisted duals), the cotangent roots Phi+ minus
-Phi+_levi (the roots of T_eP(G/P)) and their mirror psi in the affine Levi.
-The context owns ``conormal``'s per-element memos, so they die with it.
+Phi+_levi (the roots of T_eP(G/P)), the dual cotangent roots Phi+_{aff Levi}
+minus Phi+_levi and their negation psi.  Both coset sets are cominuscule
+quotients, ordered by containment of inversion sets: W^P on the cotangent
+roots and W_d^0 on the dual ones (Proctor, Europ. J. Combin. 5, 1984;
+Stembridge, J. Algebraic Combin. 5, 1996).  The context owns ``conormal``'s
+per-element memos, so they die with it.
 
 The involution is computed from the negated longest Levi element, never
 from case tables; the type-D closed form is a test downstream.  The
@@ -98,11 +102,16 @@ class CominusculeContext:
                 - positive_roots_of(self.group, self.levi_nodes))
 
     @functools.cached_property
+    def dual_cotangent_roots(self) -> frozenset[Vector]:
+        """Phi+_{aff Levi} minus Phi+_levi: the affine-Levi roots off the Levi,
+        on which the elements of W_d^0 are read as inversion sets."""
+        return (positive_roots_of(self.group, self.affine_levi_nodes)
+                - positive_roots_of(self.group, self.levi_nodes))
+
+    @functools.cached_property
     def shifted_cotangent_roots(self) -> frozenset[Vector]:
-        """psi = -(Phi+_{aff Levi} minus Phi+_levi): the negated affine-Levi roots off the Levi."""
-        off_levi = (positive_roots_of(self.group, self.affine_levi_nodes)
-                    - positive_roots_of(self.group, self.levi_nodes))
-        return frozenset(tuple(-x for x in beta) for beta in off_levi)
+        """psi: the negated dual cotangent roots."""
+        return frozenset(tuple(-x for x in beta) for beta in self.dual_cotangent_roots)
 
     @functools.cached_property
     def shifted_root_sums(self) -> frozenset[Vector]:

@@ -1,25 +1,26 @@
 """Conormal combinatorics of Schubert varieties in a cominuscule context.
 
-For a minimal representative w in the finite Weyl group, the conormal
-direction set R(w) consists of the cotangent roots Phi+ minus Phi+_levi
-(``CominusculeContext.cotangent_roots``) that w keeps positive.  Leaving
-the Levi is always that one set difference with Phi+_levi: it cuts out
-R(w), the shifted set psi in the affine Levi and the smoothness set of
-criterion (5).  Its twisted dual v (the diagram involution applied to
-w0*w*w_levi) lives in the affine Levi parabolic, where the shift
-alpha -> delta - alpha carries R(w) onto the inversions of v
-(``shift_check``), and the closure of the conormal variety inside the
-ambient affine Schubert variety is again a Schubert variety exactly when
-v satisfies the parabolic-longest-element smoothness criteria.  The fibre
-over the base point is indexed by the minimal representatives of the
-affine Levi below b = (w*v) minimised over the finite nodes.  That index
-set has a closed form: by the parabolic map (Billey-Fan-Losonczy, "The
-parabolic map", J. Algebra 214, 1999) the Demazure product m of the
-affine-Levi letters of a reduced word of b is the maximum of
-W_{affine Levi} below b, and since u <= x iff u <= x^J for u in W^J
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.5.1), the
-index set is the lower interval below m minimised over the finite nodes,
-which is its unique maximum.
+Every root-sign question here is one ``inversions`` call, the sign read of
+``weyl``.  For a minimal representative w in the finite Weyl group, the
+conormal direction set R(w) is the cotangent roots Phi+ minus Phi+_levi
+(``CominusculeContext.cotangent_roots``) less the inversions of w.  Its
+twisted dual v (the diagram involution applied to w0*w*w_levi) lives in the
+affine Levi parabolic, where the shift alpha -> delta - alpha carries R(w)
+onto the inversions of v (``shift_check``), and the closure of the conormal
+variety inside the ambient affine Schubert variety is again a Schubert
+variety exactly when v satisfies the parabolic-longest-element smoothness
+criteria.  The fibre over the base point is indexed by the minimal
+representatives of the affine Levi below b = (w*v) minimised over the
+finite nodes.  That index set has a closed form: by the parabolic map
+(Billey-Fan-Losonczy, "The parabolic map", J. Algebra 214, 1999) the
+Demazure product m of the affine-Levi letters of a reduced word of b is the
+maximum of W_{affine Levi} below b, and since u <= x iff u <= x^J for u in
+W^J (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.5.1), the
+index set is the interval of W_d^0 below m minimised over the finite nodes,
+which is its unique maximum.  W_d^0 is a cominuscule quotient, so
+that interval is the set of u whose inversions among the dual cotangent
+roots Phi+_{aff Levi} minus Phi+_levi lie in those of its maximum (Proctor,
+Europ. J. Combin. 5, 1984; Stembridge, J. Algebraic Combin. 5, 1996).
 
 Per-element data is derived once, in ``_element_report``, memoised per
 (context, w) on the context, as the smoothness report is per (context, u).
@@ -34,10 +35,9 @@ from typing import Optional
 
 from . import rootsys
 from .cominuscule import CominusculeContext
-from .rootsys import Vector, is_negative_vec, is_positive_vec
+from .rootsys import Vector
 from .weyl import (
     AffineWeylElement,
-    bruhat_leq,
     demazure,
     demazure_fold,
     longest_element,
@@ -93,14 +93,14 @@ def _element_report(ctx: CominusculeContext, w: AffineWeylElement) -> ConormalRe
         return ctx.element_reports[w]
     _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
     v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
-    picked = frozenset(alpha for alpha in ctx.cotangent_roots if is_positive_vec(w.act(alpha)))
+    picked = ctx.cotangent_roots - w.inversions(ctx.cotangent_roots)
     smooth = is_smooth(ctx, v)  # raises unless v lies in W_d^0
     return ctx.element_reports.setdefault(w, ConormalReport(
         w=w, v=v, wv=w * v, roots=picked, smooth=smooth, closure_is_schubert=smooth.c3))
 
 
 def conormal_roots(ctx: CominusculeContext, w: AffineWeylElement) -> frozenset[Vector]:
-    """R(w): the cotangent roots that w keeps positive."""
+    """R(w): the cotangent roots less the inversions of w."""
     return _element_report(ctx, w).roots
 
 
@@ -112,16 +112,15 @@ def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylEle
 def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     """Shift-by-delta bijection between conormal roots and inversions of the dual.
 
-    Tests {delta - alpha : alpha in R(w)} = {gamma in Phi+_{aff Levi} : v(gamma) < 0}.
+    Tests {delta - alpha : alpha in R(w)} = {gamma in Phi+_{aff Levi} : v(gamma) < 0},
+    read over all of Phi+_{aff Levi} so that an inverted Levi root fails it.
     The pointwise identity v(delta - alpha) = iota(w0(w(alpha))) does not involve w
     once v is substituted; ``checks.check_shift_root_bijection`` checks it per context.
     """
     report = _element_report(ctx, w)
     delta = ctx.delta()
     shifted = {tuple(m - a for a, m in zip(alpha, delta)) for alpha in report.roots}
-    inversions = {gamma for gamma in positive_roots_of(ctx.group, ctx.affine_levi_nodes)
-                  if is_negative_vec(report.v.act(gamma))}
-    return shifted == inversions
+    return shifted == report.v.inversions(positive_roots_of(ctx.group, ctx.affine_levi_nodes))
 
 
 def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport:
@@ -142,8 +141,7 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
     c4 = all(inv_uw.has_right_descent(node) for node in supp)
 
     supp_roots = positive_roots_of(ctx.group, supp)
-    inversions = {alpha for alpha in supp_roots if is_negative_vec(u.act(alpha))}
-    c5 = inversions == supp_roots - positive_roots_of(ctx.group, ctx.levi_nodes)
+    c5 = u.inversions(supp_roots) == supp_roots - positive_roots_of(ctx.group, ctx.levi_nodes)
 
     return ctx.smoothness_reports.setdefault(u, SmoothnessReport(
         c3=c3, c4=c4, c5=c5, c6=c6, support=supp, witness=(w_supp, w_supp_levi)))
@@ -159,15 +157,20 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
     and ``main-result`` with the length chain l(w * v^-1 * v * w_levi) >=
     dim G/B, equality iff the closure is Schubert.  The fibre maximum comes
     from the parabolic map (BFL 1999; Bjorner-Brenti Prop. 2.5.1);
-    ``full_fibre`` (which implies ``with_fibre``) adds the interval below
-    that maximum, read off the context's W_d^0.
+    ``full_fibre`` (which implies ``with_fibre``) adds the interval of the
+    context's W_d^0 below that maximum.  W_d^0 is a cominuscule quotient, so
+    u lies below the maximum iff its inversions among the dual cotangent
+    roots lie in the maximum's (Proctor 1984; Stembridge 1996): u inverts no
+    dual cotangent root that the maximum keeps positive.
     """
     report = _element_report(ctx, w)
     if not ((with_fibre or full_fibre) and report.closure_is_schubert):
         return report
     top = _fibre_top(ctx, report.wv)
-    fibre_all = frozenset(u for u in ctx.dual_min_reps
-                          if bruhat_leq(u, top)) if full_fibre else None
+    fibre_all = None
+    if full_fibre:
+        kept = ctx.dual_cotangent_roots - top.inversions(ctx.dual_cotangent_roots)
+        fibre_all = frozenset(u for u in ctx.dual_min_reps if not u.inversions(kept))
     return replace(report, fibre_max=frozenset({top}), fibre_all=fibre_all)
 
 
@@ -238,12 +241,7 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
         total = tuple(a + b for a, b in zip(x, gamma))
         if rootsys.is_root(ctx.affine_diagram, total) and total not in members:
             return False
-    for vec in members:
-        if not is_positive_vec(u_plus.act(vec)):
-            return False
-        if is_positive_vec(u_minus.act(vec)):
-            return False
-    return True
+    return not u_plus.inversions(members) and u_minus.inversions(members) == members
 
 
 def pairwise_sums_not_roots(ctx: CominusculeContext) -> bool:

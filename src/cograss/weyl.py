@@ -41,6 +41,16 @@ w(alpha_i) < 0 and l(w) + 1 otherwise, so everything built by
 ``length()`` and keeps the result; ``reduced_word`` checks a carried
 length against the stripped one.
 
+Root signs are read off column heights.  ``inversions`` returns the given
+real roots that w sends negative.  A root's coefficients share one sign
+(Kac, Infinite-dimensional Lie algebras, 1.3), so its height has its sign,
+and height is linear: w(alpha) < 0 iff sum_k alpha_k ht(w(alpha_k)) < 0,
+with ht(w(alpha_k)) the sum of column k.  In the affine case a real root is
+alpha + n delta for a finite root alpha (Kac, Prop. 6.3), of height
+ht(alpha) + n h where h = ht(delta) exceeds |ht(alpha)|; the height has the
+sign of n, or of alpha when n = 0, which is the sign of the root.  The
+heights are recomputed per call, one pass over the columns.
+
 ``demazure`` and ``bruhat_leq`` read right descents only and build no inverse:
 u * w folds a reduced word of w into u on the right, and for a right descent
 s of w, u <= w iff min(u, us) <= ws (Bjorner-Brenti Prop. 2.2.7, Cor. 2.2.5).
@@ -96,7 +106,9 @@ class AffineWeylElement:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"<{self.group.diagram.series}~{self.group.diagram.rank} element {self.word_str() or 'e'}>"
+        diagram = self.group.diagram
+        tilde = "~" if diagram.affine else ""
+        return f"<{diagram.series}{tilde}{diagram.rank} element {self.word_str() or 'e'}>"
 
     # -- action and products -------------------------------------------------
 
@@ -167,6 +179,15 @@ class AffineWeylElement:
         and the smallest one decides.
         """
         return min(self.cols[self.group.diagram.index(node)]) < 0
+
+    def inversions(self, roots: Iterable[Vector]) -> frozenset[Vector]:
+        """The given real roots that the element sends negative.
+
+        Read off the column heights, as the module docstring explains; every
+        vector passed must be a real root of this group's lattice.
+        """
+        heights = [sum(col) for col in self.cols]
+        return frozenset(alpha for alpha in roots if sum(map(mul, alpha, heights)) < 0)
 
     def first_right_descent(self) -> Optional[int]:
         for node, col in zip(self.group.diagram.nodes, self.cols):

@@ -1,5 +1,7 @@
 """Conormal root sets, smoothness criteria, closure predicate, fibres."""
 
+import ast
+import inspect
 import itertools
 import random
 from collections import Counter
@@ -17,7 +19,7 @@ from cograss.checks import (
     cominuscule_pairs,
 )
 from cograss.cominuscule import build_context
-from cograss.rootsys import is_positive_vec
+from cograss.rootsys import is_negative_vec, is_positive_vec
 from cograss.weyl import (
     AffineWeylElement,
     bruhat_leq,
@@ -319,24 +321,75 @@ def test_pointwise_shift_identity_for_every_minimal_representative(pair):
 
 @pytest.mark.parametrize("series,rank,d", RANK4_PAIRS)
 def test_shift_check_acts_once_per_affine_levi_root(series, rank, d, monkeypatch):
-    """Op-count gate: on a warm report, shift_check(ctx, w) applies v to each
-    root of Phi+_{aff Levi} and makes no act call per cotangent root."""
+    """Op-count gate: on a warm report, shift_check(ctx, w) reads the sign of
+    v on each root of Phi+_{aff Levi} once, through ``inversions``, and makes
+    no act call."""
     ctx = build_context(series, rank, d)
     expected = len(positive_roots_of(ctx.group, ctx.affine_levi_nodes))
     for w in ctx.min_reps:
         conormal.closure_is_schubert(ctx, w)
-    real_act = AffineWeylElement.act
-    calls = []
+    real_act, real_inversions = AffineWeylElement.act, AffineWeylElement.inversions
+    acts, signs = [], []
 
     def counting_act(self, vec):
-        calls.append(vec)
+        acts.append(vec)
         return real_act(self, vec)
 
+    def counting_inversions(self, roots):
+        roots = tuple(roots)
+        signs.extend(roots)
+        return real_inversions(self, roots)
+
     monkeypatch.setattr(AffineWeylElement, "act", counting_act)
+    monkeypatch.setattr(AffineWeylElement, "inversions", counting_inversions)
     for w in ctx.min_reps:
-        calls.clear()
+        signs.clear()
         assert conormal.shift_check(ctx, w)
-        assert len(calls) == expected
+        assert len(signs) == expected
+    assert acts == []
+
+
+def test_conormal_reads_signs_only_through_inversions(monkeypatch):
+    """conormal.py calls no act and imports no Bruhat or vector-sign helper,
+    and a full-fibre sweep leaves the group's Bruhat memo as it was."""
+    tree = ast.parse(inspect.getsource(conormal))
+    acts = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "act"]
+    assert acts == []
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {"bruhat_leq", "is_positive_vec", "is_negative_vec"}
+    ctx = cominuscule.build_context.__wrapped__("D", 5, 5)
+    monkeypatch.setattr(ctx.group, "_bruhat_memo", {})
+    fibres = [conormal.closure_is_schubert(ctx, w, full_fibre=True).fibre_all
+              for w in ctx.min_reps]
+    assert sum(fibre is not None for fibre in fibres) > 1
+    assert ctx.group._bruhat_memo == {}
+
+
+def test_cominuscule_bruhat_order_is_inversion_containment():
+    """Oracle for the full fibre's filter (Proctor 1984; Stembridge 1996): on
+    W^P over the cotangent roots and on W_d^0 over the dual cotangent roots,
+    the inversion set read by ``inversions`` is the act-based one, its size is
+    the length, and bruhat_leq(x, y) iff Inv(x) is contained in Inv(y)."""
+    contexts = list(cominuscule_pairs(6))
+    assert ("E", 6, 1) in contexts
+    pairs = 0
+    for pair in contexts:
+        ctx = build_context(*pair)
+        for coset, roots in ((ctx.min_reps, ctx.cotangent_roots),
+                             (ctx.dual_min_reps, ctx.dual_cotangent_roots)):
+            inv = {}
+            for x in coset:
+                inv[x] = x.inversions(roots)
+                assert inv[x] == {alpha for alpha in roots if is_negative_vec(x.act(alpha))}
+                assert len(inv[x]) == x.length()
+            for x in coset:
+                for y in coset:
+                    assert bruhat_leq(x, y) == (inv[x] <= inv[y]), (pair, x, y)
+                    pairs += 1
+    assert pairs == 29924
 
 
 @pytest.mark.parametrize("series,rank,d", RANK4_PAIRS)

@@ -205,6 +205,50 @@ def test_action_preserves_inner_form(raw, data):
     assert inner_form(d, w.act(a), w.act(b)) == inner_form(d, a, b)
 
 
+# -- root signs read off column heights ----------------------------------------------
+
+SIGN_READ_FINITE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                    ("C", 2), ("C", 3), ("C", 4), ("D", 4)]
+SIGN_READ_AFFINE = [("A", 3), ("B", 3), ("C", 3), ("D", 4)]
+
+
+def act_inversions(x, roots):
+    """Oracle: the roots whose image under x is negative, by the full action."""
+    return {alpha for alpha in roots if is_negative_vec(x.act(alpha))}
+
+
+@pytest.mark.parametrize("series, rank", SIGN_READ_FINITE)
+def test_inversions_match_action_on_every_finite_element(series, rank):
+    g = group_of(series, rank)
+    positive = positive_roots(g.diagram, g.diagram.nodes)
+    roots = positive | {tuple(-c for c in alpha) for alpha in positive}
+    for x in weyl_elements(g, g.diagram.nodes):
+        assert x.inversions(roots) == act_inversions(x, roots)
+        assert len(x.inversions(positive)) == x.length()
+
+
+@pytest.mark.parametrize("series, rank", SIGN_READ_AFFINE)
+def test_inversions_match_action_on_affine_real_roots(series, rank):
+    """Real roots +-alpha + k delta for k in -3..3: the delta part adds k h to
+    the height, with h = ht(delta) above every finite height."""
+    g = group_of(series, rank, affine=True)
+    delta = g.diagram.delta
+    finite = positive_roots(g.diagram, g.finite_diagram.nodes)
+    roots = {tuple(sign * a + k * m for a, m in zip(alpha, delta))
+             for alpha in finite for sign in (1, -1) for k in range(-3, 4)}
+    rng = random.Random(f"sign read {series}{rank}")
+    nodes = g.diagram.nodes
+    for _ in range(60):
+        x = g.from_word(rng.choice(nodes) for _ in range(rng.randrange(31)))
+        assert x.inversions(roots) == act_inversions(x, roots)
+
+
+def test_repr_marks_only_affine_groups():
+    assert repr(group_of("A", 3).simple[1]) == "<A3 element 1>"
+    assert repr(group_of("A", 3).identity) == "<A3 element e>"
+    assert repr(group_of("A", 3, affine=True).simple[0]) == "<A~3 element 0>"
+
+
 # -- Bruhat order ------------------------------------------------------------------
 
 

@@ -17,17 +17,17 @@ per-element memos, so they die with it.
 
 The involution is computed from the negated longest Levi element, never
 from case tables; the type-D closed form is a test downstream.  The
-translation element is built from its coweight; the ``result-q`` check
-compares it with the product of two minimal representatives and with
-w0 w_levi w_aff_levi w_levi, and ``wsontheta`` checks the two highest
-roots that w_levi carries alpha_d and alpha_0 to.
+translation element is tau_q, q = w0(omega_d^vee) - omega_d^vee solved once
+from its pairings; the ``result-q`` check compares it with the product of two
+minimal representatives and with w0 w_levi w_aff_levi w_levi, and
+``wsontheta`` checks the two highest roots that w_levi carries alpha_d and
+alpha_0 to.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import rootsys
 from .rootsys import DynkinDiagram, Vector, build_diagram, require
@@ -161,8 +161,7 @@ def build_context(series: str, rank: int, node: int) -> CominusculeContext:
     theta0 = rootsys.highest_root(affine, finite_nodes)
     thetad = tuple(m - (1 if i == node else 0) for i, m in enumerate(affine.delta))
 
-    coweight = rootsys.fundamental_coweight(finite, node)
-    coroot = _integral_shift(finite, w0, node, coweight)
+    coroot = _integral_shift(finite, w0, node)
     tau = group.from_translation(coroot)
 
     dim_quotient = (len(positive_roots_of(group, finite_nodes))
@@ -203,16 +202,15 @@ def _validate_involution(affine: DynkinDiagram, involution: tuple[int, ...]) -> 
     require(all(delta[involution[i]] == delta[i] for i in nodes), "involution moves delta")
 
 
-def _integral_shift(finite: DynkinDiagram, w0: AffineWeylElement, node: int,
-                    coweight: tuple[Fraction, ...]) -> Vector:
-    """w0(coweight) - coweight in the coroot basis, required to be integral.
+def _integral_shift(finite: DynkinDiagram, w0: AffineWeylElement, node: int) -> Vector:
+    """q = w0(coweight) - coweight in the coroot basis, required to be integral.
 
     Since w0 is an involution, <alpha_j, w0(coweight)> = <w0(alpha_j), coweight>,
-    the alpha_node coefficient of w0(alpha_j): entry ``node`` of column j.
+    the alpha_node coefficient of w0(alpha_j): entry ``node`` of column j.  Less
+    [j = node] it is <alpha_j, q>, so one solve gives q and no coweight is formed.
     """
-    rhs = [w0.cols[j][node] for j in finite.nodes]
-    moved = rootsys.coroot_coordinates(finite, rhs)
-    shift = tuple(m - c for m, c in zip(moved, coweight))
+    shift = rootsys.coroot_coordinates(
+        finite, [w0.cols[j][node] - (j == node) for j in finite.nodes])
     require(all(x.denominator == 1 for x in shift),
             "w0(coweight) - coweight left the coroot lattice")
     return tuple(int(x) for x in shift)

@@ -94,7 +94,10 @@ def _element_report(ctx: CominusculeContext, w: AffineWeylElement) -> ConormalRe
     _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
     v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
     picked = ctx.cotangent_roots - w.inversions(ctx.cotangent_roots)
-    smooth = is_smooth(ctx, v)  # raises unless v lies in W_d^0
+    try:  # v is derived, so a v outside W_d^0 is a bug
+        smooth = is_smooth(ctx, v)
+    except ValueError as exc:
+        raise rootsys.InvariantError(f"twisted dual: {exc}") from exc
     return ctx.element_reports.setdefault(w, ConormalReport(
         w=w, v=v, wv=w * v, roots=picked, smooth=smooth, closure_is_schubert=smooth.c3))
 

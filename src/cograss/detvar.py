@@ -321,7 +321,10 @@ def fibre_rank(n: int, r: int) -> tuple[int, SignedPermutation]:
     require(dual_stratum_holds(n, r), "dual stratum identities fail")
 
     witness = skew_rank_element(n, nbar - r)
-    (top,) = conormal.fibre_maximal(ctx, element_of(ctx, perm))
+    try:  # the paper's theorem makes the stratum's closure Schubert
+        (top,) = conormal.fibre_maximal(ctx, element_of(ctx, perm))
+    except ValueError as exc:
+        raise InvariantError(f"rank-{r} stratum of n={n}: {exc}") from exc
     require(top == ctx.iota_elem(element_of(ctx, witness)),
             "fibre maximum does not match the involuted co-rank stratum")
     label = word_to_perm(n, ctx.iota_elem(top).reduced_word())

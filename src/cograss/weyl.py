@@ -268,9 +268,16 @@ class AffineWeylElement:
         return tuple(ucols), qi
 
     def acts_as_translation(self) -> bool:
-        ucols, _ = self.semidirect_pair()
-        n = self.group.diagram.rank
-        return ucols == tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n))
+        """Whether w(alpha_j) - alpha_j is a multiple of delta for every finite node j.
+
+        For w = u o tau_q that holds iff u = 1, as w(alpha_j) = u(alpha_j) -
+        <alpha_j, q> delta and u(alpha_j) has no alpha_0 term.  In a finite
+        group only the identity is a translation."""
+        if not self.group.diagram.affine:
+            return self.is_identity()
+        return all(col[k] - (k == j) == col[0] * m
+                   for j, col in enumerate(self.cols[1:], 1)
+                   for k, m in enumerate(self.group.diagram.delta))
 
 
 class WeylGroup:
@@ -332,25 +339,18 @@ class WeylGroup:
         return self.from_word(int(tok) for tok in text.split()) if text else self.identity
 
     def from_translation(self, coroot: Sequence[int]) -> AffineWeylElement:
-        """The translation tau_q for q in the coroot lattice."""
+        """The translation tau_q, q in the coroot lattice: alpha -> alpha - <alpha, q> delta."""
         diagram = self.diagram
         if not diagram.affine:
             raise ValueError("translations exist only in affine Weyl groups")
-        n = diagram.rank
-        if len(coroot) != n:
+        if len(coroot) != diagram.rank:
             raise ValueError("coweight length does not match the finite rank")
         delta = diagram.delta
         finite = self.finite_diagram
-        theta = tuple(delta[1:])
-        cols = []
-        for j in range(n + 1):
-            base = [0] * (n + 1)
-            base[j] = 1
-            finite_part = tuple(-t for t in theta) if j == 0 else finite.simple_root(j)
-            shift = pairing(finite, finite_part, coroot)
-            col = tuple(b - shift * m for b, m in zip(base, delta))
-            cols.append(col)
-        return AffineWeylElement(self, tuple(cols))
+        shifts = [pairing(finite, finite.simple_root(j), coroot) for j in finite.nodes]
+        shifts.insert(0, -sum(map(mul, delta[1:], shifts)))  # alpha_0 = delta - theta
+        return AffineWeylElement(self, tuple(tuple(b - s * m for b, m in zip(col, delta))
+                                             for col, s in zip(self.identity.cols, shifts)))
 
     def embed_finite_matrix(self, ucols: Sequence[Vector]) -> AffineWeylElement:
         """Extend a finite Weyl matrix to the affine lattice (delta fixed)."""
@@ -377,35 +377,27 @@ class WeylGroup:
     def _check_loop_conventions(self) -> None:
         """Pin the semidirect conventions via s_0 = (s_theta, -theta^vee)."""
         diagram = self.diagram
-        finite = self.finite_diagram
-        n = diagram.rank
-        theta = tuple(diagram.delta[1:])
+        theta = diagram.delta[1:]
         # s_theta(alpha_j) = alpha_j + C[0][j] * theta on the finite lattice
-        scols = []
-        for j in range(1, n + 1):
-            base = [0] * n
-            base[j - 1] = 1
-            c0j = diagram.cartan[0][j]
-            scols.append(tuple(b + c0j * t for b, t in zip(base, theta)))
-        s_theta = self.embed_finite_matrix(tuple(scols))
-        theta_covec = theta_coroot(finite)
+        s_theta = self.embed_finite_matrix(tuple(
+            tuple((a == j) + diagram.cartan[0][j] * t for a, t in enumerate(theta, 1))
+            for j in range(1, diagram.rank + 1)))
+        theta_covec = theta_coroot(self.finite_diagram)
         candidate = s_theta * self.from_translation(tuple(-x for x in theta_covec))
         require(candidate == self.simple[0],
                 "semidirect convention mismatch: s_0 != (s_theta, -theta^vee)")
 
 
 def theta_coroot(finite: DynkinDiagram) -> Vector:
-    """theta^vee in the coroot basis: <alpha_j, theta^vee> = 2(alpha_j|theta)/(theta|theta)."""
+    """theta^vee = 2 theta/(theta|theta) in the coroot basis, read off the symmetrizer:
+    (alpha_j|alpha_j) = 2 d_j makes alpha_j^vee = alpha_j/d_j, so coordinate j is
+    2 d_j theta_j/(theta|theta) (Humphreys, Introduction to Lie Algebras and
+    Representation Theory).  Each must be an integer."""
     theta = highest_root(finite)
     norm = inner_form(finite, theta, theta)
-    rhs = []
-    for j in finite.nodes:
-        num = 2 * inner_form(finite, finite.simple_root(j), theta)
-        require(num % norm == 0, "2(alpha_j|theta)/(theta|theta) is not integral")
-        rhs.append(num // norm)
-    sol = coroot_coordinates(finite, rhs)
-    require(all(x.denominator == 1 for x in sol), "theta^vee left the coroot lattice")
-    return tuple(int(x) for x in sol)
+    coords = [2 * dj * tj for dj, tj in zip(finite.symmetrizer, theta)]
+    require(all(c % norm == 0 for c in coords), "theta^vee left the coroot lattice")
+    return tuple(c // norm for c in coords)
 
 
 # -- order, Bruhat order, Demazure product -------------------------------------

@@ -95,6 +95,23 @@ def test_benchmark_entry_points_resolve():
     assert callable(checks.cominuscule_pairs)
 
 
+def test_traced_benchmark_run_ends_on_a_numeric_result_line():
+    """The traced detvar-fibre run exits 0 and its result line, the last line on
+    stdout, reports correct outputs and a number for every declared metric.  A
+    change that took the last demazure call off that workload's path was once
+    refused for this: the traced summary printed weyl.demazure.hit_ratio as null."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "detvar-fibre",
+                          "--seed", "1", "--trace", "1"],
+                         capture_output=True, text=True, cwd=REPO, env=env, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]
+    assert {name: m["value"] for name, m in result["metrics"].items()
+            if type(m["value"]) not in (int, float)} == {}
+
+
 @pytest.fixture
 def fresh_contexts(monkeypatch):
     """A private build_context cache for the checks and detvar.  Each context

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from cograss import cli
+from cograss import cli, conormal, detvar
 from cograss.cli import main
+from cograss.cominuscule import CominusculeContext, build_context
 from cograss.rootsys import InvariantError
 
 
@@ -48,6 +49,36 @@ def test_broken_invariant_exits_1_and_usage_error_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "roots", "--type", "D", "--rank", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "rank >= 4" in err
+
+
+def test_derived_twisted_dual_outside_w_d0_exits_1(capsys, monkeypatch):
+    """v = iota(w0 w w_levi) is derived, not given, so v outside W_d^0 is a
+    broken invariant (exit 1); a user's u outside W_d^0 stays a usage error."""
+    monkeypatch.setattr(cli, "build_context", build_context.__wrapped__)
+    monkeypatch.setattr(CominusculeContext, "iota_elem", lambda self, w: w)
+    code, out, err = run(capsys, "conormal", "--type", "A", "--rank", "3",
+                         "--comin", "2", "--w", "2", "--json")
+    assert (code, out) == (1, "")
+    assert err == ("invariant violated: twisted dual: element is not in the affine "
+                   "Levi parabolic\n")
+    code, out, err = run(capsys, "smooth", "--type", "A", "--rank", "3",
+                         "--comin", "2", "--u", "2", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: element is not in the affine Levi parabolic\n"
+
+
+def test_fibre_rank_on_a_broken_theorem_exits_1(capsys, monkeypatch):
+    """The paper's theorem makes each rank stratum's conormal closure Schubert,
+    so a failing c3 in fibre_rank is a broken invariant, not a usage error."""
+    monkeypatch.setattr(detvar, "build_context", build_context.__wrapped__)
+    monkeypatch.setattr(conormal, "demazure", lambda u, w: u * w)  # c3 fails for u != e
+    code, out, err = run(capsys, "detvar", "--n", "6", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("invariant violated: rank-2 stratum of n=6: conormal closure "
+                          "is not a Schubert variety")
+    code, out, err = run(capsys, "detvar", "--n", "6", "--r", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_smooth_identity(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cograss import rootsys
 from cograss.checks import (
     check_form_invariance,
     check_iota_conjugation,
@@ -13,6 +14,7 @@ from cograss.checks import (
     cominuscule_pairs,
 )
 from cograss.cominuscule import build_context, cominuscule_nodes
+from cograss.rootsys import build_diagram, coroot_coordinates, fundamental_coweight
 from cograss.weyl import AffineWeylElement, WeylGroup, min_rep
 
 RANK6_PAIRS = list(cominuscule_pairs(6))
@@ -136,6 +138,42 @@ def test_translation_coweight_closed_forms():
     from cograss.rootsys import build_diagram, fundamental_coweight
     assert fundamental_coweight(build_diagram("C", 3), 3) == \
         (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+
+
+def test_translation_coroot_matches_the_two_solve_route():
+    """Oracle: q = w0(omega_d^vee) - omega_d^vee with the coweight solved by
+    fundamental_coweight and its image under w0 solved from its pairings."""
+    for series, rank, d in cominuscule_pairs(8, include_e7=True):
+        ctx = build_context(series, rank, d)
+        finite = ctx.finite_diagram
+        coweight = fundamental_coweight(finite, d)
+        moved = coroot_coordinates(finite, [ctx.w0.cols[j][d] for j in finite.nodes])
+        assert ctx.translation_coroot == tuple(m - c for m, c in zip(moved, coweight))
+
+
+def test_coroots_take_one_exact_solve_per_context(monkeypatch):
+    """Gate: an affine WeylGroup reads theta^vee off the symmetrizer and solves
+    nothing, a context solves once for its translation coroot, and result-q
+    solves nothing."""
+    calls = []
+    real = rootsys.solve_exact
+
+    def counting(matrix, rhs):
+        calls.append(len(rhs))
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(rootsys, "solve_exact", counting)
+    monkeypatch.setattr(WeylGroup, "_instances", {})  # groups built afresh, restored after
+    for series, low in [("A", 1), ("B", 2), ("C", 2), ("D", 4), ("E", 6)]:
+        for rank in range(low, 9):
+            WeylGroup(build_diagram(series, rank, affine=True))
+    assert calls == []
+    pairs = list(cominuscule_pairs(7, include_e7=True))
+    contexts = [build_context.__wrapped__(*pair) for pair in pairs]
+    assert len(calls) == len(pairs) == 55
+    calls.clear()
+    assert all(check_translation_identity(ctx) for ctx in contexts)
+    assert calls == []
 
 
 def test_translation_element_examples():

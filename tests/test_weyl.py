@@ -3,13 +3,17 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cograss.checks import cominuscule_pairs
 from cograss.cominuscule import build_context
 from cograss.rootsys import (
     build_diagram,
+    coroot_coordinates,
+    highest_root,
     inner_form,
     is_negative_vec,
     is_positive_vec,
@@ -129,6 +133,59 @@ def _dual_action(group, elem, coroot):
     sol = solve_exact(transposed, rhs)
     assert all(x.denominator == 1 for x in sol)
     return tuple(int(x) for x in sol)
+
+
+# -- coroot closed forms against their exact solves --------------------------------
+
+THETA_COROOT_DIAGRAMS = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                         + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+                         + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("series, rank", THETA_COROOT_DIAGRAMS)
+def test_theta_coroot_matches_the_solve_of_its_pairings(series, rank):
+    """Oracle: theta^vee solved from <alpha_j, theta^vee> = 2(alpha_j|theta)/(theta|theta)."""
+    finite = build_diagram(series, rank)
+    theta = highest_root(finite)
+    norm = inner_form(finite, theta, theta)
+    pairings = [Fraction(2 * inner_form(finite, finite.simple_root(j), theta), norm)
+                for j in finite.nodes]
+    assert theta_coroot(finite) == coroot_coordinates(finite, pairings)
+
+
+def finite_part_is_identity(x):
+    """Oracle: the finite part of the semidirect split is the identity matrix."""
+    ucols, _ = x.semidirect_pair()
+    n = len(ucols)
+    return ucols == tuple(tuple(int(a == b) for a in range(n)) for b in range(n))
+
+
+def test_acts_as_translation_matches_semidirect_pair_on_every_context_tau():
+    for series, rank, d in cominuscule_pairs(8, include_e7=True):
+        tau = build_context(series, rank, d).translation_element
+        assert tau.acts_as_translation() and finite_part_is_identity(tau)
+
+
+@pytest.mark.parametrize("series, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_acts_as_translation_matches_semidirect_pair_on_affine_words(series, rank):
+    g = group_of(series, rank, affine=True)
+    rng = random.Random(f"translation {series}{rank}")
+    nodes = g.diagram.nodes
+    words = [g.simple[node] for node in nodes]
+    words += [g.from_word(rng.choice(nodes) for _ in range(rng.randrange(31)))
+              for _ in range(60)]
+    words.append(g.from_translation(theta_coroot(g.finite_diagram)))
+    answers = [x.acts_as_translation() for x in words]
+    assert answers == [finite_part_is_identity(x) for x in words]
+    assert set(answers) == {True, False}
+
+
+@pytest.mark.parametrize("series, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_only_the_identity_of_a_finite_group_acts_as_translation(series, rank):
+    g = group_of(series, rank)
+    elements = weyl_elements(g, g.diagram.nodes)
+    assert [x for x in elements if x.acts_as_translation()] == [g.identity]
+    assert all(x.acts_as_translation() == finite_part_is_identity(x) for x in elements)
 
 
 # -- length and reduced words -----------------------------------------------------

@@ -79,10 +79,12 @@ def cominuscule_pairs(max_rank: int, include_e7: bool = False,
 
 
 def check_wsontheta(ctx: CominusculeContext) -> bool:
-    """w_levi(alpha_d) = theta_0, the embedded finite highest root, and
-    w_levi(alpha_0) = theta_d = delta - alpha_d, the highest root of the affine Levi."""
+    """w_levi(alpha_d) = theta_0 = delta - alpha_0 and w_levi(alpha_0) = theta_d =
+    delta - alpha_d, the highest roots of the finite diagram and of the affine Levi,
+    each found by search too."""
     theta0, thetad = ctx.highest_root_finite, ctx.highest_root_affine_levi
     return (theta0 == (0,) + highest_root(ctx.finite_diagram)
+            == highest_root(ctx.affine_diagram, ctx.finite_nodes)
             and thetad == highest_root(ctx.affine_diagram, ctx.affine_levi_nodes)
             and ctx.w_levi.act(ctx.simple_root(ctx.cominuscule_node)) == theta0
             and ctx.w_levi.act(ctx.simple_root(0)) == thetad)

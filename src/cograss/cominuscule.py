@@ -15,22 +15,22 @@ roots and W_d^0 on the dual ones (Proctor, Europ. J. Combin. 5, 1984;
 Stembridge, J. Algebraic Combin. 5, 1996).  The context owns ``conormal``'s
 per-element memos, so they die with it.
 
-The involution is computed from the negated longest Levi element, never
-from case tables; the type-D closed form is a test downstream.  The
-translation element is tau_q, q = w0(omega_d^vee) - omega_d^vee solved once
-from its pairings; the ``result-q`` check compares it with the product of two
-minimal representatives and with w0 w_levi w_aff_levi w_levi, and
-``wsontheta`` checks the two highest roots that w_levi carries alpha_d and
-alpha_0 to.
+The build reads its data and solves nothing: the involution comes off the columns
+of the longest Levi element, never from case tables (the type-D closed form is a
+test downstream), the highest roots are delta - alpha_0 and delta - alpha_d, and
+the translation element is tau_q, q = w0(omega_d^vee) - omega_d^vee read off 2 rho_P.
+The ``result-q`` check compares tau_q with the product of two minimal
+representatives and with w0 w_levi w_aff_levi w_levi, and ``wsontheta`` compares
+the highest roots with the root searches and with w_levi(alpha_d), w_levi(alpha_0).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import mul
 
-from . import rootsys
-from .rootsys import DynkinDiagram, Vector, build_diagram, require
+from .rootsys import DynkinDiagram, Vector, build_diagram, is_root, require
 from .weyl import (
     AffineWeylElement,
     WeylGroup,
@@ -118,7 +118,7 @@ class CominusculeContext:
         """The sums x + y over x, y in psi that are roots."""
         psi = self.shifted_cotangent_roots
         sums = (tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi)
-        return frozenset(total for total in sums if rootsys.is_root(self.affine_diagram, total))
+        return frozenset(total for total in sums if is_root(self.affine_diagram, total))
 
     def delta(self) -> Vector:
         return self.affine_diagram.delta
@@ -155,17 +155,16 @@ def build_context(series: str, rank: int, node: int) -> CominusculeContext:
     w0 = longest_element(group, finite_nodes)
     w_affine_levi = longest_element(group, affine_levi)
 
-    involution = _involution_from_levi(affine, group, node, levi, w_levi)
+    involution = _involution_from_levi(affine, node, levi, w_levi)
     _validate_involution(affine, involution)
 
-    theta0 = rootsys.highest_root(affine, finite_nodes)
-    thetad = tuple(m - (1 if i == node else 0) for i, m in enumerate(affine.delta))
+    # the marks are (1,) + theta, so theta_0 = delta - alpha_0 and theta_d = delta - alpha_d
+    theta0, thetad = (tuple(m - (i == k) for i, m in enumerate(affine.delta))
+                      for k in (0, node))
 
-    coroot = _integral_shift(finite, w0, node)
+    cotangent = positive_roots_of(group, finite_nodes) - positive_roots_of(group, levi)
+    coroot = _integral_shift(affine, w0, node, cotangent)
     tau = group.from_translation(coroot)
-
-    dim_quotient = (len(positive_roots_of(group, finite_nodes))
-                    - len(positive_roots_of(group, levi)))
 
     return CominusculeContext(
         series=series, rank=rank, cominuscule_node=node,
@@ -175,18 +174,20 @@ def build_context(series: str, rank: int, node: int) -> CominusculeContext:
         w0=w0, w_levi=w_levi, w_affine_levi=w_affine_levi,
         highest_root_finite=theta0, highest_root_affine_levi=thetad,
         translation_coroot=coroot, translation_element=tau,
-        dim_quotient=dim_quotient,
+        dim_quotient=len(cotangent),
     )
 
 
-def _involution_from_levi(affine: DynkinDiagram, group: WeylGroup, node: int,
-                          levi: tuple[int, ...], w_levi) -> tuple[int, ...]:
+def _involution_from_levi(affine: DynkinDiagram, node: int, levi: tuple[int, ...],
+                          w_levi: AffineWeylElement) -> tuple[int, ...]:
+    """iota swaps node 0 with node d and is -w_J on the Levi: w_J sends each simple root
+    of J to minus one, w_J(alpha_j) = -alpha_iota(j), so iota(j) is read off column j."""
     mapping = {0: node, node: 0}
     for j in levi:
-        image = tuple(-x for x in w_levi.act(affine.simple_root(j)))
-        targets = [k for k in levi if image == affine.simple_root(k)]
-        require(len(targets) == 1, "-w_J does not permute the Levi simple roots")
-        mapping[j] = targets[0]
+        col = w_levi.cols[j]
+        mapping[j] = target = col.index(min(col))
+        require(target in levi and col == tuple(-x for x in affine.simple_root(target)),
+                "-w_J does not permute the Levi simple roots")
     return tuple(mapping[i] for i in affine.nodes)
 
 
@@ -202,15 +203,18 @@ def _validate_involution(affine: DynkinDiagram, involution: tuple[int, ...]) -> 
     require(all(delta[involution[i]] == delta[i] for i in nodes), "involution moves delta")
 
 
-def _integral_shift(finite: DynkinDiagram, w0: AffineWeylElement, node: int) -> Vector:
-    """q = w0(coweight) - coweight in the coroot basis, required to be integral.
+def _integral_shift(affine: DynkinDiagram, w0: AffineWeylElement, node: int,
+                    cotangent: frozenset[Vector]) -> Vector:
+    """q = w0(omega_d^vee) - omega_d^vee in the coroot basis, required to be integral.
 
-    Since w0 is an involution, <alpha_j, w0(coweight)> = <w0(alpha_j), coweight>,
-    the alpha_node coefficient of w0(alpha_j): entry ``node`` of column j.  Less
-    [j = node] it is <alpha_j, q>, so one solve gives q and no coweight is formed.
+    Levi reflections permute the cotangent roots, so their sum 2 rho_P pairs to 0
+    with every Levi coroot: 2 rho_P = c omega_d, c = <2 rho_P, alpha_d^vee>.  The
+    form carries alpha_j^vee to alpha_j/d_j, as (alpha_j|alpha_j) = 2 d_j for the
+    symmetrizer d, so omega_d^vee to omega_d/d_d: q_j = d_j ((w0 - 1) 2 rho_P)_j / (c d_d).
     """
-    shift = rootsys.coroot_coordinates(
-        finite, [w0.cols[j][node] - (j == node) for j in finite.nodes])
-    require(all(x.denominator == 1 for x in shift),
+    rho2 = tuple(map(sum, zip(*cotangent)))
+    den = sum(map(mul, affine.cartan[node], rho2)) * affine.symmetrizer[node]
+    nums = [dj * (moved - x) for dj, moved, x in zip(affine.symmetrizer, w0.act(rho2), rho2)][1:]
+    require(all(num % den == 0 for num in nums),
             "w0(coweight) - coweight left the coroot lattice")
-    return tuple(int(x) for x in shift)
+    return tuple(num // den for num in nums)

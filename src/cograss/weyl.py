@@ -285,9 +285,8 @@ class WeylGroup:
 
     ``_cartan_row[i]`` and ``_cartan_col[j]`` list the nonzero Cartan
     entries of a row and of a column as (index, entry) pairs, for the
-    simple products and the reduced-word strip; ``_bruhat_memo`` holds
-    ``bruhat_leq`` results and ``_longest`` the parabolic longest
-    elements by sorted node tuple.
+    simple products and the reduced-word strip; ``_longest``, the group's
+    one cache, holds the parabolic longest elements by sorted node tuple.
     """
 
     _instances: dict[DynkinDiagram, "WeylGroup"] = {}
@@ -315,7 +314,6 @@ class WeylGroup:
         self.identity._inv = self.identity
         self.simple = {node: self.identity.mul_simple_right(node)
                        for node in diagram.nodes}
-        self._bruhat_memo: dict[tuple, bool] = {}
         self._longest: dict[tuple[int, ...], AffineWeylElement] = {}
         if diagram.affine:
             self.finite_diagram = build_diagram(diagram.series, diagram.rank)
@@ -345,6 +343,8 @@ class WeylGroup:
             raise ValueError("translations exist only in affine Weyl groups")
         if len(coroot) != diagram.rank:
             raise ValueError("coweight length does not match the finite rank")
+        if not all(isinstance(x, int) for x in coroot):
+            raise ValueError("coweight is off the coroot lattice: entries must be integers")
         delta = diagram.delta
         finite = self.finite_diagram
         shifts = [pairing(finite, finite.simple_root(j), coroot) for j in finite.nodes]
@@ -444,28 +444,19 @@ def is_min_rep(w: AffineWeylElement, nodes: Iterable[int]) -> bool:
 
 
 def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
-    """Bruhat order by lifting on a right descent of w (BB Prop. 2.2.7), memoized per group."""
+    """Bruhat order by lifting on a right descent of w (BB Prop. 2.2.7), in l(w) steps at most."""
     if u.group is not w.group:
         raise ValueError("elements belong to different Weyl groups")
-    memo = u.group._bruhat_memo
-    def rec(a: AffineWeylElement, b: AffineWeylElement) -> bool:
-        la, lb = a.length(), b.length()
-        if la == 0:
+    while True:
+        lu, lw = u.length(), w.length()
+        if lu == 0:
             return True
-        if la > lb:
-            return False
-        if la == lb:
-            return a == b
-        key = (a, b)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        node = b.first_right_descent()
-        lifted = a.mul_simple_right(node) if a.has_right_descent(node) else a
-        result = rec(lifted, b.mul_simple_right(node))
-        memo[key] = result
-        return result
-    return rec(u, w)
+        if lu >= lw:
+            return lu == lw and u == w
+        node = w.first_right_descent()
+        if u.has_right_descent(node):
+            u = u.mul_simple_right(node)
+        w = w.mul_simple_right(node)
 
 
 def demazure_fold(x: AffineWeylElement, letters: Iterable[int]) -> AffineWeylElement:

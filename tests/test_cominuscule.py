@@ -143,7 +143,7 @@ def test_translation_coweight_closed_forms():
 def test_translation_coroot_matches_the_two_solve_route():
     """Oracle: q = w0(omega_d^vee) - omega_d^vee with the coweight solved by
     fundamental_coweight and its image under w0 solved from its pairings."""
-    for series, rank, d in cominuscule_pairs(8, include_e7=True):
+    for series, rank, d in cominuscule_pairs(9, include_e7=True):
         ctx = build_context(series, rank, d)
         finite = ctx.finite_diagram
         coweight = fundamental_coweight(finite, d)
@@ -151,10 +151,26 @@ def test_translation_coroot_matches_the_two_solve_route():
         assert ctx.translation_coroot == tuple(m - c for m, c in zip(moved, coweight))
 
 
-def test_coroots_take_one_exact_solve_per_context(monkeypatch):
-    """Gate: an affine WeylGroup reads theta^vee off the symmetrizer and solves
-    nothing, a context solves once for its translation coroot, and result-q
-    solves nothing."""
+def test_closed_forms_match_the_solve_and_the_root_search():
+    """Oracle for the context's closed forms on all 82 contexts to rank 9 with
+    E7: q read off 2 rho_P equals the one solve on its pairings
+    <alpha_j, q> = w0(alpha_j)_d - [j = d], and theta_0 = delta - alpha_0
+    equals the highest root found by searching the finite roots."""
+    pairs = list(cominuscule_pairs(9, include_e7=True))
+    assert len(pairs) == 82
+    for series, rank, d in pairs:
+        ctx = build_context(series, rank, d)
+        finite = ctx.finite_diagram
+        solved = coroot_coordinates(
+            finite, [ctx.w0.cols[j][d] - (j == d) for j in finite.nodes])
+        assert ctx.translation_coroot == solved
+        assert ctx.highest_root_finite == rootsys.highest_root(ctx.affine_diagram,
+                                                               ctx.finite_nodes)
+
+
+def test_coroots_take_no_exact_solve(monkeypatch):
+    """Gate: an affine WeylGroup reads theta^vee off the symmetrizer, a context
+    reads its translation coroot off 2 rho_P, and result-q solves nothing."""
     calls = []
     real = rootsys.solve_exact
 
@@ -162,7 +178,11 @@ def test_coroots_take_one_exact_solve_per_context(monkeypatch):
         calls.append(len(rhs))
         return real(matrix, rhs)
 
+    def refuse(*args):
+        raise AssertionError("a context build must not solve for coroot coordinates")
+
     monkeypatch.setattr(rootsys, "solve_exact", counting)
+    monkeypatch.setattr(rootsys, "coroot_coordinates", refuse)
     monkeypatch.setattr(WeylGroup, "_instances", {})  # groups built afresh, restored after
     for series, low in [("A", 1), ("B", 2), ("C", 2), ("D", 4), ("E", 6)]:
         for rank in range(low, 9):
@@ -170,8 +190,8 @@ def test_coroots_take_one_exact_solve_per_context(monkeypatch):
     assert calls == []
     pairs = list(cominuscule_pairs(7, include_e7=True))
     contexts = [build_context.__wrapped__(*pair) for pair in pairs]
-    assert len(calls) == len(pairs) == 55
-    calls.clear()
+    assert len(pairs) == 55
+    assert calls == []
     assert all(check_translation_identity(ctx) for ctx in contexts)
     assert calls == []
 

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from cograss import cominuscule, conormal, rootsys
+from cograss import cominuscule, conormal, rootsys, weyl
 from cograss.checks import (
     check_connected_support,
     check_main_predicate,
@@ -351,7 +351,7 @@ def test_shift_check_acts_once_per_affine_levi_root(series, rank, d, monkeypatch
 
 def test_conormal_reads_signs_only_through_inversions(monkeypatch):
     """conormal.py calls no act and imports no Bruhat or vector-sign helper,
-    and a full-fibre sweep leaves the group's Bruhat memo as it was."""
+    and a full-fibre sweep runs with bruhat_leq refused."""
     tree = ast.parse(inspect.getsource(conormal))
     acts = [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -361,11 +361,14 @@ def test_conormal_reads_signs_only_through_inversions(monkeypatch):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not imported & {"bruhat_leq", "is_positive_vec", "is_negative_vec"}
     ctx = cominuscule.build_context.__wrapped__("D", 5, 5)
-    monkeypatch.setattr(ctx.group, "_bruhat_memo", {})
+
+    def refuse(*args):
+        raise AssertionError("the full fibre must not call bruhat_leq")
+
+    monkeypatch.setattr(weyl, "bruhat_leq", refuse)
     fibres = [conormal.closure_is_schubert(ctx, w, full_fibre=True).fibre_all
               for w in ctx.min_reps]
     assert sum(fibre is not None for fibre in fibres) > 1
-    assert ctx.group._bruhat_memo == {}
 
 
 def test_cominuscule_bruhat_order_is_inversion_containment():

@@ -79,6 +79,18 @@ def test_translation_fixes_delta_and_shifts_finite_roots():
     assert tau.act(a1) == tuple(x - 2 * m for x, m in zip(a1, delta))
 
 
+def test_translation_rejects_coweights_off_the_coroot_lattice():
+    """tau_q is in W only for q in the coroot lattice: on A~2 the coweight
+    omega_2^vee = (1/3, 2/3) and a float q are refused, integer q is not."""
+    g = group_of("A", 2, affine=True)
+    for q in [(Fraction(1, 3), Fraction(2, 3)), (1.5, 0), (Fraction(1), 0)]:
+        with pytest.raises(ValueError, match="coroot lattice"):
+            g.from_translation(q)
+    tau = g.from_translation((1, 0))
+    assert all(isinstance(x, int) for col in tau.cols for x in col)
+    assert tau.acts_as_translation() and tau.length() == 4
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([("A", 2), ("B", 2), ("D", 4)]),
        st.lists(st.integers(0, 8), max_size=10))
@@ -350,7 +362,6 @@ def test_order_algorithms_build_no_inverse_and_no_left_product(monkeypatch):
 
     monkeypatch.setattr(AffineWeylElement, "inverse", refuse)
     monkeypatch.setattr(AffineWeylElement, "mul_simple_left", refuse)
-    monkeypatch.setattr(g, "_bruhat_memo", {})
     assert [(bruhat_leq(u, w), demazure.__wrapped__(u, w)) for u, w in pairs] == expected
 
 

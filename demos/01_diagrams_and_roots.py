@@ -11,7 +11,8 @@ print("D4 Cartan matrix:")
 for row in d4.cartan:
     print("   ", row)
 
-# Positive roots come from the reflection closure of the simple roots;
+# Positive roots grow upward from the simple roots: a simple reflection
+# is applied only where it raises the root, so every image is positive;
 # the highest root is their componentwise maximum.
 roots = sorted(positive_roots(d4))
 print(f"\nD4 has {len(roots)} positive roots; the highest is {highest_root(d4)}")

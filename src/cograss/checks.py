@@ -32,7 +32,6 @@ from .weyl import (
     bruhat_leq,
     bruhat_interval_check,
     demazure,
-    enumerate_min_reps,
     min_rep,
     positive_roots_of,
     weyl_elements,
@@ -133,19 +132,14 @@ def check_translation_identity(ctx: CominusculeContext) -> bool:
 
 
 def check_min_rep_sets(ctx: CominusculeContext) -> bool:
-    """W^P = W & W^{aff Levi}, W_d^0 = W_{aff Levi} & W^{levi}, and v in W_d^0."""
-    group = ctx.group
-    if ctx.min_reps != enumerate_min_reps(group, ctx.finite_nodes, ctx.affine_levi_nodes):
-        return False
-    if ctx.dual_min_reps != enumerate_min_reps(group, ctx.affine_levi_nodes, ctx.levi_nodes):
-        return False
+    """w -> v(w) is a bijection W^P -> W_d^0, with l(wv) = l(w) + l(v) = dim G/P."""
+    duals = set()
     for w in ctx.min_reps:
         report = conormal.closure_is_schubert(ctx, w)  # raises unless v lies in W_d^0
-        if report.v not in ctx.dual_min_reps:
-            return False
         if not report.wv.length() == w.length() + report.v.length() == ctx.dim_quotient:
             return False
-    return True
+        duals.add(report.v)
+    return len(duals) == len(ctx.min_reps) and duals == ctx.dual_min_reps
 
 
 def check_connected_support(ctx: CominusculeContext) -> bool:

@@ -6,9 +6,9 @@ setup used downstream: the Levi node set J (finite nodes minus d), the
 affine Levi node set (all affine nodes minus d), the diagram involution
 swapping node 0 with node d, the longest elements of the three parabolic
 subgroups, the distinguished translation element of the affine Weyl
-group, and, built on first use, the coset sets W^P (indexing X(w) in G/P)
-and W_d^0 (holding the twisted duals), the cotangent roots Phi+ minus
-Phi+_levi (the roots of T_eP(G/P)), the dual cotangent roots Phi+_{aff Levi}
+group, the cotangent roots Phi+ minus Phi+_levi (the roots of T_eP(G/P)),
+and, built on first use, the coset sets W^P (indexing X(w) in G/P) and
+W_d^0 (holding the twisted duals), the dual cotangent roots Phi+_{aff Levi}
 minus Phi+_levi and their negation psi.  Both coset sets are cominuscule
 quotients, ordered by containment of inversion sets: W^P on the cotangent
 roots and W_d^0 on the dual ones (Proctor, Europ. J. Combin. 5, 1984;
@@ -62,6 +62,7 @@ class CominusculeContext:
     translation_coroot: Vector
     translation_element: AffineWeylElement
     dim_quotient: int
+    cotangent_roots: frozenset[Vector] = field(repr=False)  # Phi+ minus Phi+_levi: T_eP(G/P)
     # conormal's per-element memos, filled on first use: w -> report, u -> smoothness
     element_reports: dict = field(default_factory=dict, init=False, repr=False)
     smoothness_reports: dict = field(default_factory=dict, init=False, repr=False)
@@ -94,12 +95,6 @@ class CominusculeContext:
     def dual_min_reps(self) -> frozenset[AffineWeylElement]:
         """W_d^0: minimal representatives of the affine Levi over the finite nodes."""
         return enumerate_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
-
-    @functools.cached_property
-    def cotangent_roots(self) -> frozenset[Vector]:
-        """Phi+ minus Phi+_levi: the roots of T_eP(G/P), each with alpha_d coefficient 1."""
-        return (positive_roots_of(self.group, self.finite_nodes)
-                - positive_roots_of(self.group, self.levi_nodes))
 
     @functools.cached_property
     def dual_cotangent_roots(self) -> frozenset[Vector]:
@@ -174,7 +169,7 @@ def build_context(series: str, rank: int, node: int) -> CominusculeContext:
         w0=w0, w_levi=w_levi, w_affine_levi=w_affine_levi,
         highest_root_finite=theta0, highest_root_affine_levi=thetad,
         translation_coroot=coroot, translation_element=tau,
-        dim_quotient=len(cotangent),
+        dim_quotient=len(cotangent), cotangent_roots=cotangent,
     )
 
 

@@ -300,39 +300,30 @@ def pairing(diagram: DynkinDiagram, root: Sequence[int],
                for i, qi in enumerate(coroot) if qi)
 
 
-def reflect(diagram: DynkinDiagram, node: int, vec: Vector) -> Vector:
-    """Simple reflection s_node applied to a lattice vector."""
-    i = diagram.index(node)
-    coeff = sum(cij * vj for cij, vj in zip(diagram.cartan[i], vec) if vj)
-    if not coeff:
-        return tuple(vec)
-    out = list(vec)
-    out[i] -= coeff
-    return tuple(out)
-
-
-def is_positive_vec(vec: Sequence[int]) -> bool:
-    return any(vec) and all(x >= 0 for x in vec)
-
-
-def is_negative_vec(vec: Sequence[int]) -> bool:
-    return any(vec) and all(x <= 0 for x in vec)
-
-
 @functools.lru_cache(maxsize=None)
 def _positive_roots_cached(diagram: DynkinDiagram,
                            nodes: tuple[int, ...]) -> frozenset[Vector]:
-    simples = [diagram.simple_root(i) for i in nodes]
-    pos = set(simples)
-    frontier = list(simples)
+    """Phi+_nodes grown upward from the simple roots.
+
+    For a root beta and a node i with c = <beta, alpha_i^vee> < 0, s_i(beta) =
+    beta - c alpha_i is a higher positive root, and every non-simple positive
+    root arises so from a lower one (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.2), so no image needs a sign test.
+    """
+    rows = [(k, [(j, c) for j, c in enumerate(diagram.cartan[k]) if c])
+            for k in map(diagram.index, nodes)]
+    frontier = [diagram.simple_root(i) for i in nodes]
+    pos = set(frontier)
     while frontier:
         fresh = []
-        for vec in frontier:
-            for i in nodes:
-                img = reflect(diagram, i, vec)
-                if img not in pos and is_positive_vec(img):
-                    pos.add(img)
-                    fresh.append(img)
+        for beta in frontier:
+            for i, row in rows:
+                c = sum(cij * beta[j] for j, cij in row)
+                if c < 0:
+                    img = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                    if img not in pos:
+                        pos.add(img)
+                        fresh.append(img)
         frontier = fresh
     return frozenset(pos)
 
@@ -385,25 +376,15 @@ def fundamental_coweight(diagram: DynkinDiagram, node: int) -> tuple[Fraction, .
     """Coordinates of the fundamental coweight dual to ``node``.
 
     Expressed in the coroot basis; exact rationals (the coweight need not
-    lie in the coroot lattice).
+    lie in the coroot lattice).  <alpha_j, sum_i q_i alpha_i^vee> = sum_i q_i C[i][j],
+    so this solves C^T q = e_node.
     """
     if diagram.affine:
         raise ValueError("fundamental coweights are taken in the finite diagram")
-    rhs = [0] * len(diagram.nodes)
-    rhs[diagram.index(node)] = 1
-    return coroot_coordinates(diagram, rhs)
-
-
-def coroot_coordinates(diagram: DynkinDiagram,
-                       pairings: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """The q in the coroot basis with <alpha_j, q> = pairings[j] for every node j.
-
-    <alpha_j, sum_i q_i alpha_i^vee> = sum_i q_i C[i][j], so this solves
-    C^T q = pairings exactly.
-    """
     n = len(diagram.nodes)
-    transposed = [[diagram.cartan[i][j] for i in range(n)] for j in range(n)]
-    return solve_exact(transposed, pairings)
+    rhs = [0] * n
+    rhs[diagram.index(node)] = 1
+    return solve_exact([[diagram.cartan[i][j] for i in range(n)] for j in range(n)], rhs)
 
 
 def is_real_root(diagram: DynkinDiagram, vec: Vector) -> bool:

@@ -17,7 +17,13 @@ part and translation coweight, and ``from_translation`` builds a pure
 translation.  Each affine WeylGroup checks at construction that its
 affine generator equals s_theta composed with translation by -theta^vee,
 which pins the composition convention (u, q) = u o tau_q with group law
-(u, q)(u', q') = (u u', u'^{-1}(q) + q').
+(u, q)(u', q') = (u u', u'^{-1}(q) + q').  The split solves nothing: u
+fixes Lambda_0, so w^{-1}(Lambda_0) = tau_{-q}(Lambda_0) = Lambda_0 - nu(q)
++ c delta (Kac, Infinite-dimensional Lie algebras, (6.5.2)), with
+nu(alpha_j^vee) = d_0 alpha_j / d_j: Kac normalises (theta|theta) = 2, and
+(theta|theta) = 2 d_0 for the symmetrizer d.  Folding a word of w in word order on
+x = w^{-1}(Lambda_0) - Lambda_0, letter i does x_i -= [i = 0] + <x, alpha_i^vee>,
+and then q_j = d_j (x_0 delta_j - x_j) / d_0.
 
 Reduced words strip right descents, smallest node index first, so
 reduced words, minimal representatives and traces are deterministic.
@@ -72,7 +78,6 @@ from .rootsys import (
     InvariantError,
     Vector,
     build_diagram,
-    coroot_coordinates,
     finite_type_nodes,
     highest_root,
     inner_form,
@@ -247,25 +252,24 @@ class AffineWeylElement:
         """Split into (finite-part matrix, translation coweight).
 
         The element equals u o tau_q; the finite matrix is column-major
-        over the finite nodes, q is integral in the coroot basis.
+        over the finite nodes, q is integral in the coroot basis.  q is
+        read off w^{-1}(Lambda_0), as the module docstring explains.
         """
         group = self.group
         diagram = group.diagram
         if not diagram.affine:
             return self.cols, (0,) * len(diagram.nodes)
-        n = diagram.rank
-        # alpha_0 coordinate of w(alpha_j) is -<alpha_j, q>, i.e. -(C^T q)_j
-        q = coroot_coordinates(group.finite_diagram,
-                               [-self.cols[j][0] for j in range(1, n + 1)])
-        require(all(x.denominator == 1 for x in q), "translation part is not integral")
-        qi = tuple(int(x) for x in q)
-        delta = diagram.delta
+        x = [0] * len(diagram.nodes)  # w^{-1}(Lambda_0) - Lambda_0, one letter at a time
+        for i in self.reduced_word():
+            x[i] -= (i == 0) + sum(x[j] * c for j, c in group._cartan_row[i])
+        d, delta = diagram.symmetrizer, diagram.delta
+        nums = [dj * (x[0] * m - xj) for dj, m, xj in zip(d, delta, x)][1:]
+        require(all(num % d[0] == 0 for num in nums), "translation part is not integral")
         ucols = []
-        for j in range(1, n + 1):
-            col = self.cols[j]
+        for col in self.cols[1:]:
             level = col[0]
-            ucols.append(tuple(col[k] - level * delta[k] for k in range(1, n + 1)))
-        return tuple(ucols), qi
+            ucols.append(tuple(c - level * m for c, m in zip(col[1:], delta[1:])))
+        return tuple(ucols), tuple(num // d[0] for num in nums)
 
     def acts_as_translation(self) -> bool:
         """Whether w(alpha_j) - alpha_j is a multiple of delta for every finite node j.

@@ -1,0 +1,68 @@
+"""Slow independent routes that the tests hold the library's closed forms to.
+
+Each oracle filters or solves where the library reads: positive roots by
+reflect-and-filter closure, root signs by coefficient signs, coroot
+coordinates and translation parts by an exact Gaussian elimination.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from cograss.rootsys import DynkinDiagram, Vector, solve_exact
+
+
+def reflect(diagram: DynkinDiagram, node: int, vec: Vector) -> Vector:
+    """Simple reflection s_node applied to a lattice vector."""
+    i = diagram.index(node)
+    coeff = sum(cij * vj for cij, vj in zip(diagram.cartan[i], vec) if vj)
+    if not coeff:
+        return tuple(vec)
+    out = list(vec)
+    out[i] -= coeff
+    return tuple(out)
+
+
+def is_positive_vec(vec: Sequence[int]) -> bool:
+    return any(vec) and all(x >= 0 for x in vec)
+
+
+def is_negative_vec(vec: Sequence[int]) -> bool:
+    return any(vec) and all(x <= 0 for x in vec)
+
+
+def reflection_closure(diagram: DynkinDiagram, nodes: Sequence[int]) -> frozenset[Vector]:
+    """Phi+_nodes as the closure of the simple roots under every simple
+    reflection, keeping only the positive images."""
+    simples = [diagram.simple_root(i) for i in nodes]
+    pos = set(simples)
+    frontier = list(simples)
+    while frontier:
+        fresh = []
+        for vec in frontier:
+            for i in nodes:
+                img = reflect(diagram, i, vec)
+                if img not in pos and is_positive_vec(img):
+                    pos.add(img)
+                    fresh.append(img)
+        frontier = fresh
+    return frozenset(pos)
+
+
+def coroot_coordinates(diagram: DynkinDiagram,
+                       pairings: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """The q in the coroot basis with <alpha_j, q> = pairings[j] for every node j.
+
+    <alpha_j, sum_i q_i alpha_i^vee> = sum_i q_i C[i][j], so this solves
+    C^T q = pairings exactly.
+    """
+    n = len(diagram.nodes)
+    transposed = [[diagram.cartan[i][j] for i in range(n)] for j in range(n)]
+    return solve_exact(transposed, pairings)
+
+
+def solved_translation(w) -> tuple[Fraction, ...]:
+    """q of w = u o tau_q solved from the matrix: the alpha_0 coordinate of
+    w(alpha_j) is -<alpha_j, q> for every finite node j."""
+    group = w.group
+    return coroot_coordinates(group.finite_diagram,
+                              [-w.cols[j][0] for j in group.finite_diagram.nodes])

@@ -172,9 +172,10 @@ def test_finite_type_is_decided_without_the_determinant(monkeypatch, fresh_conte
     assert touched and not tested
 
 
-def test_coset_sets_are_enumerated_at_most_four_times_per_context(monkeypatch):
-    """Op-count gate: W^P and W_d^0 once each, plus the two alternative
-    descriptions of check_min_rep_sets; contexts are built fresh."""
+def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
+    """Op-count gate: W^P and W_d^0 once each, on contexts built fresh;
+    check_min_rep_sets reads both off the context.  checks is patched too,
+    though it does not import the enumeration, so a re-import is counted."""
     real = weyl.enumerate_min_reps
     calls = []
 
@@ -183,13 +184,13 @@ def test_coset_sets_are_enumerated_at_most_four_times_per_context(monkeypatch):
         return real(group, *args, **kwargs)
 
     for module in (weyl, cominuscule, checks):
-        monkeypatch.setattr(module, "enumerate_min_reps", counting)
+        monkeypatch.setattr(module, "enumerate_min_reps", counting, raising=False)
     fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
     monkeypatch.setattr(checks, "build_context", fresh)
     assert run_suite("all", 5).all_pass
     contexts = len(list(checks.cominuscule_pairs(5)))
     assert fresh.cache_info().currsize == contexts
-    assert 0 < calls.count(True) <= 4 * contexts
+    assert 0 < calls.count(True) <= 2 * contexts
 
 
 def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_contexts):
@@ -362,6 +363,41 @@ def test_library_holds_no_assert():
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Name) and node.id == "AssertionError"]
     assert found == []
+
+
+def _names_bound(node):
+    """The names a statement imports or defines."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.asname or alias.name for alias in node.names}
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return {node.id}
+    return set()
+
+
+def test_root_layer_reads_instead_of_filtering_or_solving():
+    """Gate: the library solves a linear system only inside fundamental_coweight,
+    keeps no reflect-and-filter or solve helper (they live in tests/oracles.py),
+    and weyl imports no solver."""
+    oracles = {"reflect", "is_positive_vec", "is_negative_vec", "coroot_coordinates"}
+    solvers = {"solve_exact", "coroot_coordinates", "fundamental_coweight", "fractions"}
+    solve_sites, oracle_sites, weyl_imports = [], [], set()
+    for path in sorted((REPO / "src" / "cograss").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        functions = [f for f in tree.body if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "solve_exact":
+                owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                solve_sites.append((path.name, owner))
+            oracle_sites += [f"{path.name}:{node.lineno} {name}"
+                             for name in _names_bound(node) & oracles]
+            if path.name == "weyl.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                weyl_imports |= {getattr(node, "module", None)} | _names_bound(node)
+    assert solve_sites == [("rootsys.py", ["fundamental_coweight"])]
+    assert oracle_sites == []
+    assert weyl_imports and not weyl_imports & solvers
 
 
 PLAIN_PRODUCT_CHAIN = """

@@ -19,7 +19,6 @@ from cograss.checks import (
     cominuscule_pairs,
 )
 from cograss.cominuscule import build_context
-from cograss.rootsys import is_negative_vec, is_positive_vec
 from cograss.weyl import (
     AffineWeylElement,
     bruhat_leq,
@@ -28,6 +27,8 @@ from cograss.weyl import (
     min_rep,
     positive_roots_of,
 )
+
+from oracles import is_negative_vec, is_positive_vec
 
 RANK4_PAIRS = list(cominuscule_pairs(4))
 

@@ -16,8 +16,9 @@ from cograss.rootsys import (
     is_finite_type,
     pairing,
     positive_roots,
-    reflect,
 )
+
+from oracles import is_positive_vec, reflect, reflection_closure
 
 ALL_FINITE = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 8)]
               + [("C", n) for n in range(2, 8)] + [("D", n) for n in range(4, 8)]
@@ -86,6 +87,22 @@ def test_reflection_closure_fixed_point(series, rank):
     for vec in both:
         for node in d.nodes:
             assert reflect(d, node, vec) in both
+
+
+ROOT_ORACLE_DIAGRAMS = ([("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)]
+                        + [("C", n) for n in range(2, 7)] + [("D", n) for n in range(4, 7)]
+                        + [("E", 6)])
+
+
+@pytest.mark.parametrize("series,rank", ROOT_ORACLE_DIAGRAMS)
+def test_upward_growth_matches_the_reflection_closure(series, rank):
+    """Oracle: Phi+_S grown upward equals the reflect-and-filter closure on every
+    node subset of the finite diagram and every proper one of the affine diagram."""
+    for affine in (False, True):
+        d = build_diagram(series, rank, affine=affine)
+        for size in range(1, len(d.nodes) + (not affine)):
+            for nodes in itertools.combinations(d.nodes, size):
+                assert positive_roots(d, nodes) == reflection_closure(d, nodes)
 
 
 @pytest.mark.parametrize("series,rank", ALL_FINITE)
@@ -250,7 +267,7 @@ def test_affine_positivity_characterization(series, rank):
     # and the finite part positive
     affine = build_diagram(series, rank, affine=True)
     finite = build_diagram(series, rank)
-    from cograss.rootsys import is_positive_vec, is_real_root
+    from cograss.rootsys import is_real_root
     for base in positive_roots(finite):
         for sign in (1, -1):
             fin = tuple(sign * x for x in base)

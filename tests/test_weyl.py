@@ -12,11 +12,8 @@ from cograss.checks import cominuscule_pairs
 from cograss.cominuscule import build_context
 from cograss.rootsys import (
     build_diagram,
-    coroot_coordinates,
     highest_root,
     inner_form,
-    is_negative_vec,
-    is_positive_vec,
     positive_roots,
 )
 from cograss.weyl import (
@@ -34,6 +31,8 @@ from cograss.weyl import (
     weyl_elements,
     weyl_order,
 )
+
+from oracles import coroot_coordinates, is_negative_vec, is_positive_vec, solved_translation
 
 
 def group_of(series, rank, affine=False):
@@ -101,6 +100,24 @@ def test_semidirect_pair_roundtrip(pair, raw):
     ucols, q = w.semidirect_pair()
     rebuilt = g.embed_finite_matrix(ucols) * g.from_translation(q)
     assert rebuilt == w
+
+
+AFFINE_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+                    + [("E", n) for n in (6, 7, 8)])
+
+
+@pytest.mark.parametrize("series, rank", AFFINE_TO_RANK_8)
+def test_semidirect_pair_reads_the_solved_translation(series, rank):
+    """Oracle: on 30 seeded words, q folded on w^{-1}(Lambda_0) equals q solved from
+    the alpha_0 row of the matrix, and u o tau_q rebuilds w."""
+    g = group_of(series, rank, affine=True)
+    rng = random.Random(f"{series}{rank}")
+    for _ in range(30):
+        w = g.from_word(rng.choice(g.diagram.nodes) for _ in range(rng.randrange(4 * rank + 8)))
+        ucols, q = w.semidirect_pair()
+        assert q == solved_translation(w)
+        assert g.embed_finite_matrix(ucols) * g.from_translation(q) == w
 
 
 def test_word_str_parse_roundtrip():

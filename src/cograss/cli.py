@@ -70,7 +70,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
         lines.append(f"positive roots ({len(roots)}):")
         lines.extend("  " + " ".join(str(c) for c in r) for r in roots)
         lines.append("highest root: "
-                     + " ".join(str(c) for c in highest_root(diagram)))
+                     + " ".join(str(c) for c in payload["highest_root"]))
     lines.append("cominuscule nodes: "
                  + (" ".join(str(d) for d in payload["cominuscule_nodes"]) or "none"))
     _emit(payload, args.json, lines)

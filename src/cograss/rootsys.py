@@ -388,15 +388,14 @@ def fundamental_coweight(diagram: DynkinDiagram, node: int) -> tuple[Fraction, .
 
 
 def is_real_root(diagram: DynkinDiagram, vec: Vector) -> bool:
-    """Whether an affine lattice vector is of the form alpha + n*delta."""
-    if not diagram.affine:
-        return vec in positive_roots(diagram) or tuple(-x for x in vec) in positive_roots(diagram)
-    level = vec[0]
-    delta = diagram.delta
-    finite = build_diagram(diagram.series, diagram.rank, affine=False)
-    fin = tuple(x - level * m for x, m in zip(vec, delta))[1:]
-    pos = positive_roots(finite)
-    return fin in pos or tuple(-x for x in fin) in pos
+    """Whether a lattice vector is +-alpha for a positive root alpha, plus n*delta
+    in the affine case: the affine vector is reduced to its finite part first."""
+    if diagram.affine:
+        level = vec[0]
+        vec = tuple(x - level * m for x, m in zip(vec, diagram.delta))[1:]
+        diagram = build_diagram(diagram.series, diagram.rank)
+    pos = positive_roots(diagram)
+    return vec in pos or tuple(-x for x in vec) in pos
 
 
 def is_root(diagram: DynkinDiagram, vec: Vector) -> bool:

@@ -253,7 +253,8 @@ class AffineWeylElement:
 
         The element equals u o tau_q; the finite matrix is column-major
         over the finite nodes, q is integral in the coroot basis.  q is
-        read off w^{-1}(Lambda_0), as the module docstring explains.
+        read off w^{-1}(Lambda_0), as the module docstring explains.  w is
+        a translation iff u is the identity; in a finite group, iff w is.
         """
         group = self.group
         diagram = group.diagram
@@ -270,18 +271,6 @@ class AffineWeylElement:
             level = col[0]
             ucols.append(tuple(c - level * m for c, m in zip(col[1:], delta[1:])))
         return tuple(ucols), tuple(num // d[0] for num in nums)
-
-    def acts_as_translation(self) -> bool:
-        """Whether w(alpha_j) - alpha_j is a multiple of delta for every finite node j.
-
-        For w = u o tau_q that holds iff u = 1, as w(alpha_j) = u(alpha_j) -
-        <alpha_j, q> delta and u(alpha_j) has no alpha_0 term.  In a finite
-        group only the identity is a translation."""
-        if not self.group.diagram.affine:
-            return self.is_identity()
-        return all(col[k] - (k == j) == col[0] * m
-                   for j, col in enumerate(self.cols[1:], 1)
-                   for k, m in enumerate(self.group.diagram.delta))
 
 
 class WeylGroup:

@@ -2,7 +2,8 @@
 
 Each oracle filters or solves where the library reads: positive roots by
 reflect-and-filter closure, root signs by coefficient signs, coroot
-coordinates and translation parts by an exact Gaussian elimination.
+coordinates and translation parts by an exact Gaussian elimination, and
+"is w a translation?" by a test on the columns of its matrix.
 """
 
 from fractions import Fraction
@@ -66,3 +67,17 @@ def solved_translation(w) -> tuple[Fraction, ...]:
     group = w.group
     return coroot_coordinates(group.finite_diagram,
                               [-w.cols[j][0] for j in group.finite_diagram.nodes])
+
+
+def acts_as_translation(w) -> bool:
+    """Whether w(alpha_j) - alpha_j is a multiple of delta for every finite node j.
+
+    For w = u o tau_q that holds iff u = 1, as w(alpha_j) = u(alpha_j) -
+    <alpha_j, q> delta and u(alpha_j) has no alpha_0 term.  In a finite
+    group only the identity is a translation."""
+    diagram = w.group.diagram
+    if not diagram.affine:
+        return w.is_identity()
+    return all(col[k] - (k == j) == col[0] * m
+               for j, col in enumerate(w.cols[1:], 1)
+               for k, m in enumerate(diagram.delta))

@@ -193,6 +193,23 @@ def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
     assert 0 < calls.count(True) <= 2 * contexts
 
 
+def test_oracles_call_demazure_at_most_twice_per_pair_of_elements(monkeypatch):
+    """Op-count gate: demazure-assoc reads associativity off one table of the
+    |W|^2 products and length-vee takes one product per pair, so the oracles
+    suite calls demazure at most 2 |W(A3)|^2 = 2 * 24^2 times."""
+    real = weyl.demazure
+    calls = []
+
+    def counting(u, w):
+        calls.append(None)
+        return real(u, w)
+
+    for module in (weyl, checks):
+        monkeypatch.setattr(module, "demazure", counting)
+    assert run_suite("oracles", 0).all_pass
+    assert 0 < len(calls) <= 2 * 24 ** 2
+
+
 def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_contexts):
     """Op-count gate: a full sweep on fresh contexts validates each w in W^P
     and each u in W_d^0 once, however many checks read its conormal data."""
@@ -415,6 +432,31 @@ def test_main_result_checks_the_length_chain_with_asserts_stripped():
     run = _run_with_asserts_stripped("-c", PLAIN_PRODUCT_CHAIN)
     assert run.returncode == 0, run.stderr[-2000:]
     contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
+    assert json.loads(run.stdout) == [[params, ""] for params in contexts]
+
+
+SPLIT_WITHOUT_THE_LAMBDA_0_TERM = """
+import inspect, json, textwrap
+from cograss import checks, weyl
+source = textwrap.dedent(inspect.getsource(weyl.AffineWeylElement.semidirect_pair))
+mutated = source.replace("(i == 0) + ", "")
+if mutated == source:
+    raise SystemExit("the [i = 0] term of the fold is not in semidirect_pair")
+scope = {}
+exec(mutated, vars(weyl), scope)
+weyl.AffineWeylElement.semidirect_pair = scope["semidirect_pair"]
+print(json.dumps([[c.params, c.note] for c in checks.run_suite("result-q", 5).failed]))
+"""
+
+
+def test_translation_identity_reads_q_back_with_asserts_stripped():
+    """result-q compares tau's semidirect split with (1, q) explicitly, so under
+    python -O a fold that drops the [i = 0] term (and reads q = 0) fails that
+    record on every context, with no exception raised."""
+    run = _run_with_asserts_stripped("-c", SPLIT_WITHOUT_THE_LAMBDA_0_TERM)
+    assert run.returncode == 0, run.stderr[-2000:]
+    contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
+    assert len(contexts) == 29
     assert json.loads(run.stdout) == [[params, ""] for params in contexts]
 
 

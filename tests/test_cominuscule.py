@@ -13,8 +13,13 @@ from cograss.checks import (
     check_wsontheta,
     cominuscule_pairs,
 )
-from cograss.cominuscule import build_context, cominuscule_nodes
-from cograss.rootsys import build_diagram, fundamental_coweight
+from cograss.cominuscule import (
+    _involution_from_levi,
+    _validate_involution,
+    build_context,
+    cominuscule_nodes,
+)
+from cograss.rootsys import InvariantError, build_diagram, fundamental_coweight
 from cograss.weyl import AffineWeylElement, WeylGroup, min_rep
 
 from oracles import coroot_coordinates
@@ -118,6 +123,27 @@ def test_iota_elem_builds_no_word(monkeypatch):
     for w, oracle in zip(fresh, expected):
         assert w._word is None
         assert ctx.iota_elem(w) == oracle
+
+
+@pytest.mark.parametrize("involution, message", [
+    ((0, 0, 2, 3), "not a node permutation"),
+    ((1, 2, 3, 0), "not an involution"),
+    ((1, 0, 2, 3), "does not preserve the Cartan matrix"),
+])
+def test_validate_involution_refuses_a_bad_node_map(involution, message):
+    """iota_elem relabels without checking, so the build must refuse a node map
+    that is no diagram involution of A~3."""
+    with pytest.raises(InvariantError, match=message):
+        _validate_involution(build_diagram("A", 3, affine=True), involution)
+
+
+def test_involution_read_refuses_an_element_other_than_w_levi():
+    """w_J s_1 = s_3 in A3 d=2 fixes alpha_1, so -w_J does not permute the Levi
+    simple roots and no involution is read."""
+    ctx = build_context("A", 3, 2)
+    with pytest.raises(InvariantError, match="-w_J does not permute the Levi simple roots"):
+        _involution_from_levi(ctx.affine_diagram, 2, ctx.levi_nodes,
+                              ctx.w_levi.mul_simple_right(1))
 
 
 def test_iota_swaps_the_two_quotients():

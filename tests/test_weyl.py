@@ -336,6 +336,22 @@ def test_inversions_match_action_on_affine_real_roots(series, rank):
         assert x.inversions(roots) == act_inversions(x, roots)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_relabel_by_rotation_matches_letterwise_oracle(n):
+    """The rotation i -> i + 1 mod (n + 1) of A~n is a diagram automorphism but not
+    an involution: relabel gives sigma w sigma^-1 = the word of w with each letter
+    moved by sigma, and keeps the carried length."""
+    g = group_of("A", n, affine=True)
+    sigma = tuple((i + 1) % (n + 1) for i in range(n + 1))
+    rng = random.Random(f"relabel A~{n}")
+    nodes = g.diagram.nodes
+    for _ in range(40):
+        w = g.from_word(rng.choice(nodes) for _ in range(rng.randrange(31)))
+        twisted = w.relabel(sigma)
+        assert twisted == g.from_word(sigma[i] for i in w.reduced_word())
+        assert twisted._len == w._len == len(twisted.reduced_word())
+
+
 def test_repr_marks_only_affine_groups():
     assert repr(group_of("A", 3).simple[1]) == "<A3 element 1>"
     assert repr(group_of("A", 3).identity) == "<A3 element e>"

@@ -15,11 +15,16 @@ including precondition violations from the library (``ValueError``); a
 of them.
 JSON output is byte-stable for fixed inputs: keys are sorted and no
 timing data is emitted unless --timing is given.
+
+The argparse tree is built once per process: ``build_parser`` is cached,
+and each ``main`` call parses its argv into a fresh namespace, so a
+long-running caller pays per query only for the mathematics.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -172,6 +177,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cograss",

@@ -18,7 +18,7 @@ Cartan matrix.  A broken invariant, here or in any later layer, raises
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -47,7 +47,9 @@ class DynkinDiagram:
     reflection acts by s_i(alpha_j) = alpha_j - cartan[i][j] alpha_i.
     ``marks`` (affine only) are the coefficients of delta in the simple
     root basis; ``symmetrizer`` is the minimal positive integer vector d
-    with d_i C[i][j] symmetric.
+    with d_i C[i][j] symmetric.  ``_positive_roots`` holds Phi+ by sorted node
+    tuple for each node set that ``positive_roots`` has validated on this very
+    object; it takes no part in equality, hashing or ``dataclasses.replace``.
     """
 
     series: str
@@ -57,6 +59,8 @@ class DynkinDiagram:
     cartan: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
     marks: Optional[tuple[int, ...]] = None
+    _positive_roots: dict[tuple[int, ...], frozenset[Vector]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def index(self, node: int) -> int:
         """Position of ``node`` in ``nodes``; ValueError for a foreign label."""
@@ -300,9 +304,8 @@ def pairing(diagram: DynkinDiagram, root: Sequence[int],
                for i, qi in enumerate(coroot) if qi)
 
 
-@functools.lru_cache(maxsize=None)
-def _positive_roots_cached(diagram: DynkinDiagram,
-                           nodes: tuple[int, ...]) -> frozenset[Vector]:
+def _grow_positive_roots(diagram: DynkinDiagram,
+                         nodes: tuple[int, ...]) -> frozenset[Vector]:
     """Phi+_nodes grown upward from the simple roots.
 
     For a root beta and a node i with c = <beta, alpha_i^vee> < 0, s_i(beta) =
@@ -328,6 +331,12 @@ def _positive_roots_cached(diagram: DynkinDiagram,
     return frozenset(pos)
 
 
+def _require_built(diagram: DynkinDiagram) -> None:
+    """ValueError unless ``diagram`` is the very object ``build_diagram`` returns."""
+    if diagram is not build_diagram(diagram.series, diagram.rank, diagram.affine):
+        raise ValueError("diagram was not made by build_diagram")
+
+
 def finite_type_nodes(diagram: DynkinDiagram, nodes: Iterable[int]) -> tuple[int, ...]:
     """``nodes`` as a sorted tuple; ValueError unless they span a finite type.
 
@@ -337,8 +346,7 @@ def finite_type_nodes(diagram: DynkinDiagram, nodes: Iterable[int]) -> tuple[int
     finite type (Kac, Infinite-dimensional Lie algebras, Lemma 4.5), so
     the full affine node set is the one rejected.
     """
-    if diagram is not build_diagram(diagram.series, diagram.rank, diagram.affine):
-        raise ValueError("diagram was not made by build_diagram")
+    _require_built(diagram)
     chosen = tuple(sorted(set(nodes)))
     if not set(chosen) <= set(diagram.nodes):
         raise ValueError(f"nodes {chosen} are not nodes of the diagram")
@@ -354,10 +362,21 @@ def positive_roots(diagram: DynkinDiagram,
 
     Without ``nodes`` the diagram must be finite; with ``nodes`` the
     chosen subset must be of finite type (affine root systems are
-    infinite and are rejected).
+    infinite and are rejected).  Every call checks that the diagram is
+    ``build_diagram``'s own object; each node set is then validated by
+    ``finite_type_nodes`` and grown once per diagram, and later calls read
+    its roots off the diagram, keyed by the sorted node tuple (a few dozen
+    bytes, where a frozenset of five or more nodes takes 728).  A set that
+    fails validation raises every time and is never stored.
     """
-    chosen = finite_type_nodes(diagram, diagram.nodes if nodes is None else nodes)
-    return _positive_roots_cached(diagram, chosen)
+    key = diagram.nodes if nodes is None else tuple(sorted(nodes))
+    roots = diagram._positive_roots.get(key)
+    if roots is None:  # finite_type_nodes checks the diagram as well as the set
+        roots = _grow_positive_roots(diagram, finite_type_nodes(diagram, key))
+        diagram._positive_roots[key] = roots
+    else:
+        _require_built(diagram)
+    return roots
 
 
 def highest_root(diagram: DynkinDiagram,

@@ -9,7 +9,10 @@ is a canonical form with O(rank^2) equality.  Right multiplication by a
 simple reflection s_i rewrites only the columns of i's Cartan
 neighbours, and left multiplication only entry i of each column, read
 off the neighbours' entries; each WeylGroup keeps the nonzero Cartan
-entries per node for both.
+entries per node for both, and a node -> position table.  Column b of
+w s_i is w(alpha_b) - C[i][b] w(alpha_i), so column i turns into its
+negative, a -1 entry adds the pivot column, and any other entry subtracts
+its multiple; each is one C-level ``map`` over ``operator`` functions.
 
 The semidirect description W = W_0 x| (coroot lattice) is available as
 a derived view: ``semidirect_pair`` splits an element into its finite
@@ -74,7 +77,8 @@ products in W^J climbs one length per layer and carries every length.
 from __future__ import annotations
 
 import functools
-from operator import itemgetter, mul
+from itertools import repeat
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from .rootsys import (
@@ -145,15 +149,21 @@ class AffineWeylElement:
 
         Carries a known length, -1 when w(alpha_node) < 0 and +1 otherwise.
         """
-        idx = self.group.diagram.index(node)
-        pivot = self.cols[idx]
+        group = self.group
+        idx = group._node_index[node]
         cols = list(self.cols)
-        for b, c in self.group._cartan_row[idx]:
-            cols[b] = tuple(x - c * y for x, y in zip(cols[b], pivot))
+        pivot = cols[idx]
+        for b, c in group._cartan_row[idx]:
+            if b == idx:
+                cols[b] = tuple(map(neg, pivot))
+            elif c == -1:
+                cols[b] = tuple(map(add, cols[b], pivot))
+            else:
+                cols[b] = tuple(map(sub, cols[b], map(mul, repeat(c), pivot)))
         length = self._len
         if length is not None:
             length += -1 if min(pivot) < 0 else 1
-        return AffineWeylElement(self.group, tuple(cols), length)
+        return AffineWeylElement(group, tuple(cols), length)
 
     def mul_simple_left(self, node: int) -> "AffineWeylElement":
         """s_node * self: entry ``node`` of each column drops by its alpha_node^vee pairing."""
@@ -180,7 +190,8 @@ class AffineWeylElement:
         if self._inv is None:
             inv = self.group.from_word(reversed(self.reduced_word()))
             self._inv = inv
-            inv._inv = self
+            if inv._inv is None:  # the empty word gives the shared identity, its own inverse
+                inv._inv = self
         return self._inv
 
     # -- length, words, descents ----------------------------------------------
@@ -194,7 +205,7 @@ class AffineWeylElement:
         w(alpha_node) is a real root, so its coefficients share one sign
         and the smallest one decides.
         """
-        return min(self.cols[self.group.diagram.index(node)]) < 0
+        return min(self.cols[self.group._node_index[node]]) < 0
 
     def inversions(self, roots: Iterable[Vector]) -> frozenset[Vector]:
         """The given real roots that the element sends negative.
@@ -284,13 +295,21 @@ class AffineWeylElement:
         return tuple(ucols), tuple(num // d[0] for num in nums)
 
 
+class _NodeIndex(dict):
+    """Node label -> position; a foreign label raises what ``DynkinDiagram.index`` raises."""
+
+    def __missing__(self, node):
+        raise ValueError(f"{node} is not a node of the diagram")
+
+
 class WeylGroup:
     """Weyl group of a Dynkin diagram, with shared caches per diagram.
 
     ``_cartan_row[i]`` and ``_cartan_col[j]`` list the nonzero Cartan
     entries of a row and of a column as (index, entry) pairs, for the
-    simple products and the reduced-word strip; ``_longest``, the group's
-    one cache, holds the parabolic longest elements by sorted node tuple.
+    simple products and the reduced-word strip; ``_node_index`` maps a node
+    label to its position, built once; ``_longest``, the group's one cache,
+    holds the parabolic longest elements by sorted node tuple.
     """
 
     _instances: dict[DynkinDiagram, "WeylGroup"] = {}
@@ -312,6 +331,7 @@ class WeylGroup:
                                  for row in cartan)
         self._cartan_col = tuple(tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
                                  for j in range(n))
+        self._node_index = _NodeIndex((node, i) for i, node in enumerate(diagram.nodes))
         self.identity = AffineWeylElement(
             self, tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n)), 0)
         self.identity._word = ()

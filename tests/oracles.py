@@ -2,8 +2,9 @@
 
 Each oracle filters or solves where the library reads: positive roots by
 reflect-and-filter closure, root signs by coefficient signs, coroot
-coordinates and translation parts by an exact Gaussian elimination, and
-"is w a translation?" by a test on the columns of its matrix.
+coordinates and translation parts by an exact Gaussian elimination,
+"is w a translation?" by a test on the columns of its matrix, and the
+right product w s_i by applying w to each reflected simple root.
 """
 
 from fractions import Fraction
@@ -21,6 +22,29 @@ def reflect(diagram: DynkinDiagram, node: int, vec: Vector) -> Vector:
     out = list(vec)
     out[i] -= coeff
     return tuple(out)
+
+
+def right_simple_product(diagram: DynkinDiagram, cols: Sequence[Vector], length: int,
+                         node: int) -> tuple[tuple[Vector, ...], int]:
+    """(columns, length) of w s_node from those of w, with plain lists.
+
+    Column j is w(s_node(alpha_j)), where s_node(alpha_j) = alpha_j -
+    C[node][j] alpha_node comes from ``reflect`` and w acts as the matrix
+    whose columns are ``cols``.  The length drops by one exactly when
+    w(alpha_node) is a negative root (Bjorner-Brenti 4.4), read off its
+    coefficient signs.
+    """
+    n = len(cols)
+    out = []
+    for j in range(n):
+        image = reflect(diagram, node, diagram.simple_root(diagram.nodes[j]))
+        col = [0] * n
+        for k in range(n):
+            for a in range(n):
+                col[a] += image[k] * cols[k][a]
+        out.append(tuple(col))
+    descent = is_negative_vec(cols[diagram.index(node)])
+    return tuple(out), length - 1 if descent else length + 1
 
 
 def is_positive_vec(vec: Sequence[int]) -> bool:

@@ -1,6 +1,13 @@
 """Command-line contract: subcommands, exit codes, JSON stability."""
 
+import argparse
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +15,8 @@ from cograss import cli, conormal, detvar
 from cograss.cli import main
 from cograss.cominuscule import CominusculeContext, build_context
 from cograss.rootsys import InvariantError
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -193,3 +202,117 @@ def test_verify_timing_flag_adds_elapsed(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all("elapsed" in c for c in payload["checks"])
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    """20 main() calls over all five subcommands build one top-level parser and
+    its five subparsers, and every call still answers."""
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    calls = [["roots", "--type", "A", "--rank", "2", "--json"],
+             ["smooth", "--type", "A", "--rank", "3", "--comin", "2", "--u", "", "--json"],
+             ["conormal", "--type", "A", "--rank", "3", "--comin", "2", "--w", "", "--json"],
+             ["detvar", "--n", "4", "--r", "2", "--json"],
+             ["verify", "--suite", "wsontheta", "--max-rank", "2", "--json"]]
+    for argv in calls * 4:
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+    assert len(built) == 1 + 5
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own exits: usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+MAIN = """
+import sys
+from cograss import cli
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+def _broken(*args, **kwargs):
+    raise InvariantError("carried length is wrong")
+
+
+BREACH = """
+import sys
+from cograss import cli
+from cograss.rootsys import InvariantError
+
+def broken(*args, **kwargs):
+    raise InvariantError("carried length is wrong")
+
+cli.conormal.closure_is_schubert = broken
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+def _alone(script, argv):
+    """The invocation run by itself in a fresh interpreter, on this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": path, "COLUMNS": "80"})
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_shared_parser_answers_each_call_as_a_fresh_process(capsys, monkeypatch):
+    """A usage error, --help, a broken invariant and a valid query, interleaved in
+    one process, each give the exit code, stdout and stderr of the same call run
+    alone: the cached parser carries nothing from one call to the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ["verify", "--suite", "bogus"]
+    helped = ["conormal", "--help"]
+    query = ["conormal", "--type", "A", "--rank", "3", "--comin", "2", "--w", "", "--fibre",
+             "--json"]
+    breach = ["conormal", "--type", "A", "--rank", "3", "--comin", "2", "--w", "2", "--json"]
+    seen = [_in_process(capsys, usage), _in_process(capsys, helped)]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli.conormal, "closure_is_schubert", _broken)
+        seen.append(_in_process(capsys, breach))
+    seen.append(_in_process(capsys, query))
+    alone = [_alone(MAIN, usage), _alone(MAIN, helped), _alone(BREACH, breach),
+             _alone(MAIN, query)]
+    assert [code for code, _, _ in seen] == [2, 0, 1, 0]
+    assert seen == alone
+
+
+# -- the query-mix outputs, in one process ---------------------------------------------
+
+GOLDEN_QUERIES = json.loads((REPO / "perfbench" / "golden" / "query-mix.json").read_text())
+
+
+def test_query_mix_sample_matches_golden_digests_in_one_process(capsys):
+    """200 seeded (context, w) entries of the benchmark's golden universe, one
+    from each of its 68 contexts and the rest drawn uniformly, run through main
+    in one interpreter in shuffled order as a query-mix job runs them: each
+    stdout's sha256 equals the recorded digest."""
+    contexts = GOLDEN_QUERIES["contexts"]
+    assert len(contexts) == 68
+    rng = random.Random("query-mix golden sample")
+    per_context = [[(tuple(e["context"]), word, digest)
+                    for word, digest in zip(e["words"], e["sha256"])] for e in contexts]
+    sample = [rng.choice(entries) for entries in per_context]
+    rest = sorted({entry for entries in per_context for entry in entries} - set(sample))
+    sample += rng.sample(rest, 200 - len(sample))
+    rng.shuffle(sample)
+    for (series, rank, d), word, digest in sample:
+        code = main(["conormal", "--type", series, "--rank", str(rank), "--comin", str(d),
+                     "--w", word, "--fibre", "--json"])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (
+            series, rank, d, word)

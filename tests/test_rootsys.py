@@ -1,5 +1,6 @@
 """Diagram construction, root enumeration, and the bilinear form."""
 
+import copy
 import dataclasses
 import itertools
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cograss import rootsys
 from cograss.rootsys import (
     build_diagram,
     finite_type_nodes,
@@ -243,6 +245,37 @@ def test_hand_built_diagram_is_refused():
     assert not is_finite_type(bad, (0, 1))
     with pytest.raises(ValueError, match="build_diagram"):
         positive_roots(bad, (0, 1))
+
+
+def test_positive_roots_validate_each_node_set_once_per_diagram(monkeypatch):
+    """Op-count gate: finite_type_nodes checks a node set once per diagram, and
+    later calls, in any order or container, return the stored roots.  A set
+    that fails validation raises every time and is never stored, and a copy of a
+    built diagram is refused although it reaches the stored roots."""
+    d = build_diagram("E", 7, affine=True)
+    key = (2, 3, 4)
+    d._positive_roots.pop(key, None)
+    checked = []
+    real = rootsys.finite_type_nodes
+
+    def counting(diagram, nodes):
+        checked.append(tuple(sorted(nodes)))
+        return real(diagram, nodes)
+
+    monkeypatch.setattr(rootsys, "finite_type_nodes", counting)
+    first = positive_roots(d, (4, 2, 3))
+    for spelling in ([2, 3, 4], {3, 4, 2}, iter((3, 2, 4)), frozenset((4, 3, 2))):
+        assert positive_roots(d, spelling) is first
+    assert checked == [(2, 3, 4)] and d._positive_roots[key] is first
+    for bad, message in [(d.nodes, "infinite"), ((2, 9), "not nodes")]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                positive_roots(d, bad)
+        assert tuple(sorted(bad)) not in d._positive_roots
+    twin = copy.copy(d)
+    assert twin == d and twin._positive_roots is d._positive_roots
+    with pytest.raises(ValueError, match="build_diagram"):
+        positive_roots(twin, (2, 3, 4))
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("C", 3), ("D", 4), ("E", 7)])

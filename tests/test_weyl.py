@@ -37,6 +37,7 @@ from oracles import (
     coroot_coordinates,
     is_negative_vec,
     is_positive_vec,
+    right_simple_product,
     solved_translation,
 )
 
@@ -653,6 +654,16 @@ def test_carried_length_matches_stripped_length_finite(series, rank):
             assert top.length() == len(positive_roots(g.diagram, subset))
 
 
+def test_inverting_an_identity_product_keeps_the_identity_self_inverse():
+    """s_1 s_1 is the identity without a carried length; its inverse is the
+    group's identity, which must stay its own inverse with length 0."""
+    g = group_of("A", 2)
+    e = g.simple[1] * g.simple[1]
+    assert e == g.identity and e is not g.identity and e._len is None
+    assert e.inverse() is g.identity
+    assert g.identity.inverse() is g.identity and g.identity._len == 0
+
+
 @pytest.mark.parametrize("series, rank", [("A", 3), ("C", 3), ("D", 4), ("E", 6)])
 def test_carried_length_matches_stripped_length_affine(series, rank):
     g = group_of(series, rank, affine=True)
@@ -781,6 +792,26 @@ def test_rho_strip_and_sparse_products_match_column_oracle(series, rank, affine)
             assert right == w * g.simple[s]
             assert right.length() == len(column_strip_word(right * g.identity))
             assert w.mul_simple_left(s) == g.simple[s] * w
+
+
+@pytest.mark.parametrize("series, rank", AFFINE_TO_RANK_8)
+def test_simple_products_match_the_plain_reflection_oracle(series, rank):
+    """Oracle: along 20 seeded words, each right product w s_i equals w applied to
+    s_i(alpha_j) = alpha_j - C[i][j] alpha_i column by column, with the carried
+    length, and every descent test reads the sign of w(alpha_i).  B/C (and A1)
+    bring entries -2, every letter rewrites its own column."""
+    g = group_of(series, rank, affine=True)
+    diagram = g.diagram
+    rng = random.Random(f"kernel {series}{rank}")
+    for _ in range(20):
+        w, cols, length = g.identity, g.identity.cols, 0
+        for _ in range(rng.randrange(4 * rank + 8)):
+            node = rng.choice(diagram.nodes)
+            assert [w.has_right_descent(i) for i in diagram.nodes] == [
+                is_negative_vec(col) for col in cols]
+            w = w.mul_simple_right(node)
+            cols, length = right_simple_product(diagram, cols, length, node)
+            assert (w.cols, w._len) == (cols, length)
 
 
 def test_stripping_builds_no_element(monkeypatch):

@@ -1,18 +1,31 @@
 """Exact arithmetic in finite and affine Weyl groups.
 
-An element is stored as the integer matrix of its action on the root
-lattice of its diagram, kept column-major: ``cols[k]`` is the image of
-the simple root of the k-th node.  The action of the affine group on
-its root lattice is faithful and linear (a translation tau_q sends a
-finite root alpha to alpha - <alpha, q> delta), so this single matrix
-is a canonical form with O(rank^2) equality.  Right multiplication by a
-simple reflection s_i rewrites only the columns of i's Cartan
-neighbours, and left multiplication only entry i of each column, read
-off the neighbours' entries; each WeylGroup keeps the nonzero Cartan
-entries per node for both, and a node -> position table.  Column b of
-w s_i is w(alpha_b) - C[i][b] w(alpha_i), so column i turns into its
-negative, a -1 entry adds the pivot column, and any other entry subtracts
-its multiple; each is one C-level ``map`` over ``operator`` functions.
+An element w is stored as one integer vector, mu = w^{-1}(rho), where rho
+is the sum of the fundamental weights Lambda_i (of positive level in the
+affine case).  Its coordinates are mu_i = <w^{-1}(rho), alpha_i^vee>, one
+per node.  The group acts simply transitively on the chambers around the
+regular dominant weight rho (Kac, Infinite-dimensional Lie algebras,
+Prop. 3.12), so mu fixes w, and equality and hashing compare mu in O(rank).
+mu_i = <rho, w(alpha_i^vee)> is the height of the coroot w(alpha_i^vee), so
+its sign is that of w(alpha_i), and w s_i < w iff w(alpha_i) < 0
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.6 and 4.4): the right
+descents are the negative entries of mu.  Each WeylGroup keeps the nonzero
+Cartan entries per node and a node -> position table.
+
+Products are word folds.  mu(w s_i) = s_i(mu), and s_i moves only the
+entries of i's Cartan neighbours: mu_k -= mu_i C[k][i].  So the right
+product by s_i is one such update, and u * w folds a reduced word of w
+into mu(u), letter by letter in word order.  The left product reads
+mu(s_i w) = w^{-1}(rho - alpha_i) = mu - w^{-1}(alpha_i), where
+w^{-1}(alpha_i) is alpha_i in weight coordinates (Cartan column i) folded
+the same way along w's reduced word.  The action ``act`` on a root-lattice
+vector folds the reversed word, with s_i changing coordinate i alone by
+<v, alpha_i^vee>.  The matrix of the action, ``cols`` (column k the image
+of alpha_k), is derived from the word on each read and never stored; only
+the semidirect split and the tests read it.  A matrix given to the
+constructor (``from_translation``, ``embed_finite_matrix``) is read into mu
+once: mu_i is the height of the coroot w(alpha_i^vee), which is
+sum_k cols[i][k] d_k / d_i for the symmetrizer d.
 
 The semidirect description W = W_0 x| (coroot lattice) is available as
 a derived view: ``semidirect_pair`` splits an element into its finite
@@ -30,39 +43,28 @@ and then q_j = d_j (x_0 delta_j - x_j) / d_0.
 
 Reduced words strip right descents, smallest node index first, so
 reduced words, minimal representatives and traces are deterministic.
-The strip runs on one integer vector, not on a chain of elements.  With
-rho = sum of the fundamental weights Lambda_i (of positive level in the
-affine case), mu = w^{-1}(rho) has coordinates mu_i = <w(alpha_i^vee), rho>,
-the height of the coroot w(alpha_i^vee), which is sum_k cols[i][k] d_k / d_i
-for the symmetrizer d.  Its sign is that of w(alpha_i), and w s_i < w iff
-w(alpha_i) < 0 (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.6 and
-4.4), so the first negative mu_i is the descent to strip.  Stripping it
-applies s_i to mu, which moves only the entries of i's Cartan neighbours.
-The group acts simply transitively on the chambers around the regular
-dominant weight rho (Kac, Infinite-dimensional Lie algebras, Prop. 3.12),
-so the strip ends exactly when mu = rho, i.e. every entry is 1.
+The strip runs on a copy of mu, not on a chain of elements: stripping the
+first negative mu_i applies s_i to it, and the strip ends exactly when
+mu = rho, i.e. every entry is 1.
 
 Lengths are carried rather than recomputed.  The identity has length 0,
 and ``mul_simple_right`` gives w s_i the length l(w) - 1 when
-w(alpha_i) < 0 and l(w) + 1 otherwise, so everything built by
+mu_i < 0 and l(w) + 1 otherwise, so everything built by
 ``from_word`` or ``inverse`` arrives with its length.  Any other element
 (a product, a translation) strips a reduced word on its first
 ``length()`` and keeps the result; ``reduced_word`` checks a carried
 length against the stripped one.
 
-Root signs are read off column heights.  ``inversions`` returns the given
-real roots that w sends negative.  A root's coefficients share one sign
-(Kac, Infinite-dimensional Lie algebras, 1.3), so its height has its sign,
-and height is linear: w(alpha) < 0 iff sum_k alpha_k ht(w(alpha_k)) < 0,
-with ht(w(alpha_k)) the sum of column k.  In the affine case a real root is
-alpha + n delta for a finite root alpha (Kac, Prop. 6.3), of height
-ht(alpha) + n h where h = ht(delta) exceeds |ht(alpha)|; the height has the
-sign of n, or of alpha when n = 0, which is the sign of the root.  The
-heights are recomputed per call, one pass over the columns.
+Root signs are read off mu.  ``inversions`` returns the given real roots
+that w sends negative.  For a real root alpha, w(alpha) has the sign of
+<rho, w(alpha)^vee> = <mu, alpha^vee>, and <mu, alpha^vee> has the sign of
+(mu|alpha) = sum_k alpha_k d_k mu_k, as (alpha_k|alpha_k) = 2 d_k; so alpha
+is inverted iff that sum is negative.  One pass over mu per call.
 
-A diagram automorphism sigma permutes the simple roots, so conjugation w ->
-sigma w sigma^-1 relabels the matrix and keeps lengths; ``relabel`` owns it, so
-no caller reads the matrix to apply the cominuscule involution.
+A diagram automorphism sigma permutes the simple roots and fixes rho, so
+conjugation w -> sigma w sigma^-1 sends mu to sigma(mu) and keeps lengths;
+``relabel`` owns it, so no caller reads the element to apply the cominuscule
+involution.
 
 ``demazure`` and ``bruhat_leq`` read right descents only and build no inverse:
 u * w folds a reduced word of w into u on the right, and for a right descent
@@ -77,8 +79,7 @@ products in W^J climbs one length per layer and carries every length.
 from __future__ import annotations
 
 import functools
-from itertools import repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .rootsys import (
@@ -96,27 +97,36 @@ from .rootsys import (
 
 
 class AffineWeylElement:
-    """An element of a finite or affine Weyl group, in matrix canonical form."""
+    """An element of a finite or affine Weyl group, stored as mu = w^{-1}(rho).
 
-    __slots__ = ("group", "cols", "_hash", "_word", "_inv", "_len")
+    The constructor takes the matrix of the action on the root lattice
+    (column k the image of alpha_k) and reads mu off it once; the group's
+    own products build elements from mu directly.
+    """
 
-    def __init__(self, group: "WeylGroup", cols: tuple[Vector, ...],
+    __slots__ = ("group", "mu", "_word", "_inv", "_len")
+
+    def __init__(self, group: "WeylGroup", cols: Sequence[Vector],
                  length: Optional[int] = None):
+        d = group.diagram.symmetrizer
+        mu = []
+        for col, di in zip(cols, d):
+            height, rem = divmod(sum(map(mul, col, d)), di)
+            if rem:
+                raise InvariantError("coroot height is not integral")
+            mu.append(height)
         self.group = group
-        self.cols = cols
-        self._hash: Optional[int] = None
+        self.mu = tuple(mu)
         self._word: Optional[tuple[int, ...]] = None
         self._inv: Optional["AffineWeylElement"] = None
         self._len = length
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, AffineWeylElement)
-                and self.group is other.group and self.cols == other.cols)
+                and self.mu == other.mu and self.group is other.group)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.cols)
-        return self._hash
+        return hash(self.mu)
 
     def __repr__(self) -> str:
         diagram = self.group.diagram
@@ -125,66 +135,65 @@ class AffineWeylElement:
 
     # -- action and products -------------------------------------------------
 
+    @property
+    def cols(self) -> tuple[Vector, ...]:
+        """The matrix of the action, column k = w(alpha_k): derived on each read."""
+        diagram = self.group.diagram
+        return tuple(self.act(diagram.simple_root(node)) for node in diagram.nodes)
+
     def act(self, vec: Sequence[int]) -> Vector:
-        """Apply the element to a root-lattice vector."""
-        cols = self.cols
-        n = len(cols)
-        if len(vec) != n:
+        """Apply the element to a root-lattice vector: the reversed word, letter by letter."""
+        group = self.group
+        if len(vec) != len(self.mu):
             raise ValueError("vector does not belong to this group's lattice")
-        out = [0] * n
-        for k, c in enumerate(vec):
-            if c:
-                col = cols[k]
-                for a in range(n):
-                    out[a] += c * col[a]
+        out = list(vec)
+        cartan_row, first = group._cartan_row, group._first
+        for node in reversed(self.reduced_word()):
+            j = node - first
+            coeff = 0
+            for k, c in cartan_row[j]:
+                coeff += c * out[k]
+            out[j] -= coeff
         return tuple(out)
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         if self.group is not other.group:
             raise ValueError("elements belong to different Weyl groups")
-        return AffineWeylElement(self.group, tuple(self.act(col) for col in other.cols))
+        mu = list(self.mu)
+        self.group._fold(mu, other.reduced_word())
+        return _element(self.group, tuple(mu))
 
     def mul_simple_right(self, node: int) -> "AffineWeylElement":
-        """self * s_node: only the columns of the node's Cartan neighbours change.
+        """self * s_node: s_node applied to mu moves only the node's Cartan neighbours.
 
-        Carries a known length, -1 when w(alpha_node) < 0 and +1 otherwise.
+        Carries a known length, -1 when mu_node < 0 and +1 otherwise.
         """
         group = self.group
-        idx = group._node_index[node]
-        cols = list(self.cols)
-        pivot = cols[idx]
-        for b, c in group._cartan_row[idx]:
-            if b == idx:
-                cols[b] = tuple(map(neg, pivot))
-            elif c == -1:
-                cols[b] = tuple(map(add, cols[b], pivot))
-            else:
-                cols[b] = tuple(map(sub, cols[b], map(mul, repeat(c), pivot)))
+        j = group._node_index[node]
+        mu = list(self.mu)
+        m = mu[j]
+        for k, c in group._cartan_col[j]:
+            mu[k] -= m * c
         length = self._len
         if length is not None:
-            length += -1 if min(pivot) < 0 else 1
-        return AffineWeylElement(group, tuple(cols), length)
+            length += -1 if m < 0 else 1
+        return _element(group, tuple(mu), length)
 
     def mul_simple_left(self, node: int) -> "AffineWeylElement":
-        """s_node * self: entry ``node`` of each column drops by its alpha_node^vee pairing."""
-        idx = self.group.diagram.index(node)
-        terms = self.group._cartan_row[idx]
-        cols = []
-        for col in self.cols:
-            coeff = 0
-            for r, c in terms:
-                coeff += c * col[r]
-            if coeff:
-                col = col[:idx] + (col[idx] - coeff,) + col[idx + 1:]
-            cols.append(col)
-        return AffineWeylElement(self.group, tuple(cols))
+        """s_node * self: mu less w^{-1}(alpha_node), folded along the reduced word."""
+        group = self.group
+        root = list(group._simple_weights[group._node_index[node]])
+        group._fold(root, self.reduced_word())
+        return _element(group, tuple(map(sub, self.mu, root)))
 
     def relabel(self, perm: Sequence[int]) -> "AffineWeylElement":
         """sigma w sigma^-1 for an automorphism sigma of an affine diagram, given as a node
-        map (position = node) that the caller validates: column sigma(k) is column k with
-        entry j moved to sigma(j).  The carried length is kept."""
-        get = itemgetter(*sorted(range(len(perm)), key=perm.__getitem__))  # sigma^-1
-        return AffineWeylElement(self.group, tuple(map(get, get(self.cols))), self._len)
+        map (position = node) that the caller validates: sigma fixes rho, so entry
+        sigma(k) of the new mu is entry k of mu.  The carried length is kept."""
+        mu = [0] * len(perm)
+        for k, m in enumerate(self.mu):
+            mu[perm[k]] = m
+        return _element(self.group, tuple(mu), self._len)
 
     def inverse(self) -> "AffineWeylElement":
         if self._inv is None:
@@ -197,47 +206,36 @@ class AffineWeylElement:
     # -- length, words, descents ----------------------------------------------
 
     def is_identity(self) -> bool:
-        return self.cols == self.group.identity.cols
+        return self.mu == self.group.identity.mu
 
     def has_right_descent(self, node: int) -> bool:
-        """w s_node < w  iff  w(alpha_node) < 0.
-
-        w(alpha_node) is a real root, so its coefficients share one sign
-        and the smallest one decides.
-        """
-        return min(self.cols[self.group._node_index[node]]) < 0
+        """w s_node < w  iff  w(alpha_node) < 0  iff  mu_node < 0."""
+        return self.mu[self.group._node_index[node]] < 0
 
     def inversions(self, roots: Iterable[Vector]) -> frozenset[Vector]:
         """The given real roots that the element sends negative.
 
-        Read off the column heights, as the module docstring explains; every
-        vector passed must be a real root of this group's lattice.
+        Read off mu, as the module docstring explains; every vector passed
+        must be a real root of this group's lattice.
         """
-        heights = [sum(col) for col in self.cols]
-        return frozenset(alpha for alpha in roots if sum(map(mul, alpha, heights)) < 0)
+        weights = tuple(map(mul, self.group.diagram.symmetrizer, self.mu))
+        return frozenset(alpha for alpha in roots if sum(map(mul, alpha, weights)) < 0)
 
     def first_right_descent(self) -> Optional[int]:
-        for node, col in zip(self.group.diagram.nodes, self.cols):
-            if min(col) < 0:
+        for node, m in zip(self.group.diagram.nodes, self.mu):
+            if m < 0:
                 return node
         return None
 
     def reduced_word(self) -> tuple[int, ...]:
         """Deterministic reduced word (smallest descent stripped first).
 
-        Stripped on mu = w^{-1}(rho), as the module docstring explains.
+        Stripped on a copy of mu, as the module docstring explains.
         """
         if self._word is None:
             group = self.group
-            d = group.diagram.symmetrizer
-            mu = []
-            for col, di in zip(self.cols, d):
-                height, rem = divmod(sum(map(mul, col, d)), di)
-                if rem:
-                    raise InvariantError("coroot height is not integral")
-                mu.append(height)
             cartan_col = group._cartan_col
-            first = group.diagram.nodes[0]
+            mu = list(self.mu)
             trace = []
             while True:
                 for j, m in enumerate(mu):
@@ -247,12 +245,13 @@ class AffineWeylElement:
                     break
                 for i, c in cartan_col[j]:
                     mu[i] -= m * c
-                trace.append(first + j)
+                trace.append(j)
             if any(m != 1 for m in mu):
                 raise InvariantError("strip does not end on rho")
             if self._len is not None and self._len != len(trace):
                 raise InvariantError("carried length is wrong")
-            self._word = tuple(reversed(trace))
+            first = group._first
+            self._word = tuple(first + j for j in reversed(trace))
         return self._word
 
     def length(self) -> int:
@@ -295,6 +294,17 @@ class AffineWeylElement:
         return tuple(ucols), tuple(num // d[0] for num in nums)
 
 
+def _element(group: "WeylGroup", mu: Vector, length: Optional[int] = None) -> AffineWeylElement:
+    """The element with the given mu, built without reading a matrix."""
+    x = object.__new__(AffineWeylElement)
+    x.group = group
+    x.mu = mu
+    x._word = None
+    x._inv = None
+    x._len = length
+    return x
+
+
 class _NodeIndex(dict):
     """Node label -> position; a foreign label raises what ``DynkinDiagram.index`` raises."""
 
@@ -306,10 +316,12 @@ class WeylGroup:
     """Weyl group of a Dynkin diagram, with shared caches per diagram.
 
     ``_cartan_row[i]`` and ``_cartan_col[j]`` list the nonzero Cartan
-    entries of a row and of a column as (index, entry) pairs, for the
-    simple products and the reduced-word strip; ``_node_index`` maps a node
-    label to its position, built once; ``_longest``, the group's one cache,
-    holds the parabolic longest elements by sorted node tuple.
+    entries of a row and of a column as (index, entry) pairs, for the action
+    on root coordinates and on weight coordinates; ``_simple_weights[j]`` is
+    alpha_j in weight coordinates (Cartan column j); ``_node_index`` maps a
+    node label to its position, built once, and ``_first`` is the first label
+    (nodes are consecutive); ``_longest``, the group's one cache, holds the
+    parabolic longest elements by sorted node tuple.
     """
 
     _instances: dict[DynkinDiagram, "WeylGroup"] = {}
@@ -331,9 +343,10 @@ class WeylGroup:
                                  for row in cartan)
         self._cartan_col = tuple(tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
                                  for j in range(n))
+        self._simple_weights = tuple(tuple(row[j] for row in cartan) for j in range(n))
         self._node_index = _NodeIndex((node, i) for i, node in enumerate(diagram.nodes))
-        self.identity = AffineWeylElement(
-            self, tuple(tuple(1 if a == b else 0 for a in range(n)) for b in range(n)), 0)
+        self._first = diagram.nodes[0]
+        self.identity = _element(self, (1,) * n, 0)
         self.identity._word = ()
         self.identity._inv = self.identity
         self.simple = {node: self.identity.mul_simple_right(node)
@@ -345,15 +358,33 @@ class WeylGroup:
         else:
             self.finite_diagram = diagram
 
+    def _fold(self, vec: list[int], letters: Iterable[int]) -> int:
+        """Apply s_i to weight coordinates in place for each letter in turn (word
+        order); return how many letters met a negative coordinate."""
+        cartan_col, first = self._cartan_col, self._first
+        down = 0
+        for node in letters:
+            j = node - first
+            m = vec[j]
+            if m:
+                down += m < 0
+                for k, c in cartan_col[j]:
+                    vec[k] -= m * c
+        return down
+
     # -- constructors -----------------------------------------------------------
 
     def from_word(self, letters: Iterable[int]) -> AffineWeylElement:
-        x = self.identity
+        """The product of the letters, folded on rho with its length carried."""
+        letters = tuple(letters)
         for node in letters:
             if node not in self.simple:
                 raise ValueError(f"letter {node} is not a node of the diagram")
-            x = x.mul_simple_right(node)
-        return x
+        if not letters:
+            return self.identity
+        mu = [1] * len(self.diagram.nodes)
+        down = self._fold(mu, letters)
+        return _element(self, tuple(mu), len(letters) - 2 * down)
 
     def from_word_str(self, text: str) -> AffineWeylElement:
         """Parse the canonical space-separated word form ('' = identity)."""
@@ -373,8 +404,8 @@ class WeylGroup:
         finite = self.finite_diagram
         shifts = [pairing(finite, finite.simple_root(j), coroot) for j in finite.nodes]
         shifts.insert(0, -sum(map(mul, delta[1:], shifts)))  # alpha_0 = delta - theta
-        return AffineWeylElement(self, tuple(tuple(b - s * m for b, m in zip(col, delta))
-                                             for col, s in zip(self.identity.cols, shifts)))
+        return AffineWeylElement(self, tuple(tuple((a == b) - s * m for a, m in enumerate(delta))
+                                             for b, s in enumerate(shifts)))
 
     def embed_finite_matrix(self, ucols: Sequence[Vector]) -> AffineWeylElement:
         """Extend a finite Weyl matrix to the affine lattice (delta fixed)."""
@@ -484,11 +515,25 @@ def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
 
 
 def demazure_fold(x: AffineWeylElement, letters: Iterable[int]) -> AffineWeylElement:
-    """The 0-Hecke product x * s_i over the letters: a right descent is absorbed."""
+    """The 0-Hecke product x * s_i over the letters: a right descent is absorbed.
+
+    Folded on a copy of mu: a letter with mu_i > 0 applies s_i and adds one
+    to the length; with no such letter the product is x itself.
+    """
+    group = x.group
+    index, cartan_col = group._node_index, group._cartan_col
+    mu = list(x.mu)
+    up = 0
     for node in letters:
-        if not x.has_right_descent(node):
-            x = x.mul_simple_right(node)
-    return x
+        j = index[node]
+        m = mu[j]
+        if m > 0:
+            up += 1
+            for k, c in cartan_col[j]:
+                mu[k] -= m * c
+    if not up:
+        return x
+    return _element(group, tuple(mu), None if x._len is None else x._len + up)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,12 +5,14 @@ reflect-and-filter closure, root signs by coefficient signs, coroot
 coordinates and translation parts by an exact Gaussian elimination,
 "is w a translation?" by a test on the columns of its matrix, and the
 right product w s_i by applying w to each reflected simple root.
+``ColumnMatrix`` models a whole element as the matrix of its action, built
+from letters the test chooses, so it never reads the element it checks.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from cograss.rootsys import DynkinDiagram, Vector, solve_exact
+from cograss.rootsys import DynkinDiagram, Vector, build_diagram, solve_exact
 
 
 def reflect(diagram: DynkinDiagram, node: int, vec: Vector) -> Vector:
@@ -105,3 +107,79 @@ def acts_as_translation(w) -> bool:
     return all(col[k] - (k == j) == col[0] * m
                for j, col in enumerate(w.cols[1:], 1)
                for k, m in enumerate(diagram.delta))
+
+
+class ColumnMatrix:
+    """Oracle model of a Weyl group element: the matrix of its action on the root
+    lattice, column k the image of alpha_k, with the length carried along the
+    letters it was built from.  Products are matrix products, the left product
+    reflects every column, descents and inversions read coefficient signs, and
+    the reduced word strips the smallest descent by right products."""
+
+    def __init__(self, diagram: DynkinDiagram, cols: Sequence[Vector],
+                 length: int | None = None):
+        self.diagram = diagram
+        self.cols = tuple(tuple(col) for col in cols)
+        self.length = length
+
+    @classmethod
+    def from_word(cls, diagram: DynkinDiagram, letters: Sequence[int]) -> "ColumnMatrix":
+        n = len(diagram.nodes)
+        cols = tuple(tuple(int(a == b) for a in range(n)) for b in range(n))
+        length = 0
+        for node in letters:
+            cols, length = right_simple_product(diagram, cols, length, node)
+        return cls(diagram, cols, length)
+
+    def act(self, vec: Sequence[int]) -> Vector:
+        out = [0] * len(self.cols)
+        for c, col in zip(vec, self.cols):
+            for a, x in enumerate(col):
+                out[a] += c * x
+        return tuple(out)
+
+    def __mul__(self, other: "ColumnMatrix") -> "ColumnMatrix":
+        return ColumnMatrix(self.diagram, [self.act(col) for col in other.cols])
+
+    def mul_simple_left(self, node: int) -> "ColumnMatrix":
+        return ColumnMatrix(self.diagram, [reflect(self.diagram, node, col) for col in self.cols])
+
+    def relabel(self, perm: Sequence[int]) -> "ColumnMatrix":
+        """sigma w sigma^-1 for a node map sigma (position = node): column sigma(k) is
+        column k with entry j moved to sigma(j)."""
+        n = len(self.cols)
+        cols = [None] * n
+        for k, col in enumerate(self.cols):
+            image = [0] * n
+            for j, x in enumerate(col):
+                image[perm[j]] = x
+            cols[perm[k]] = tuple(image)
+        return ColumnMatrix(self.diagram, cols, self.length)
+
+    def descents(self) -> list[bool]:
+        return [is_negative_vec(col) for col in self.cols]
+
+    def reduced_word(self) -> tuple[int, ...]:
+        cols, trace = self.cols, []
+        while True:
+            flags = [is_negative_vec(col) for col in cols]
+            if not any(flags):
+                return tuple(reversed(trace))
+            node = self.diagram.nodes[flags.index(True)]
+            cols, _ = right_simple_product(self.diagram, cols, 0, node)
+            trace.append(node)
+
+    def inversions(self, roots) -> frozenset[Vector]:
+        return frozenset(alpha for alpha in roots if is_negative_vec(self.act(alpha)))
+
+    def semidirect_pair(self):
+        """(finite-part columns, q) for w = u o tau_q: u(alpha_j) is w(alpha_j) less
+        its delta multiple, and q is solved from the alpha_0 row."""
+        diagram = self.diagram
+        if not diagram.affine:
+            return self.cols, (0,) * len(self.cols)
+        delta = diagram.delta
+        ucols = tuple(tuple(x - col[0] * m for x, m in zip(col[1:], delta[1:]))
+                      for col in self.cols[1:])
+        finite = build_diagram(diagram.series, diagram.rank)
+        return ucols, coroot_coordinates(finite, [-col[0] for col in self.cols[1:]])

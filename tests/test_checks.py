@@ -419,10 +419,10 @@ def test_root_layer_reads_instead_of_filtering_or_solving():
 
 def test_only_weyl_reads_the_element_matrix():
     """Gate: the storage format of an element has one owner.  No module but weyl
-    reads an element's matrix, carried length or memos, or builds an element
+    reads an element's mu, matrix, carried length or memos, or builds an element
     from a matrix; the involution goes through relabel, the split through
     semidirect_pair and embed_finite_matrix."""
-    private = {"cols", "_len", "_word", "_inv", "_hash"}
+    private = {"mu", "cols", "_len", "_word", "_inv", "_hash"}
     sites = []
     for path in sorted((REPO / "src" / "cograss").glob("*.py")):
         if path.name == "weyl.py":
@@ -436,26 +436,49 @@ def test_only_weyl_reads_the_element_matrix():
     assert sites == []
 
 
-RELABEL_WITHOUT_ENTRIES = """
+def test_workload_paths_derive_no_matrix(monkeypatch, fresh_contexts):
+    """Gate: an element is its mu vector, and the workload paths never derive the
+    matrix of an action.  With that derivation made to raise, on fresh contexts:
+    the predicate with the full fibre on every W^P element of every context to
+    rank 5, fibre_rank(n, r) for n <= 7, and the sb-equiv, main-result,
+    involution-bij and vinwsd sweeps at rank 5.  No slot of an element holds a
+    matrix."""
+    def refuse(self):
+        raise AssertionError("a workload path derived an element's matrix")
+
+    monkeypatch.setattr(weyl.AffineWeylElement, "cols", property(refuse))
+    elements = []
+    for pair in checks.cominuscule_pairs(5):
+        ctx = fresh_contexts(*pair)
+        for w in ctx.min_reps:
+            report = conormal.closure_is_schubert(ctx, w, full_fibre=True)
+            elements += [w, report.v, report.wv, *(report.fibre_all or ())]
+    for n in range(4, 8):
+        for r in range(0, detvar.even_rank(n) + 1, 2):
+            detvar.fibre_rank(n, r)
+    for suite in ("sb-equiv", "main-result", "involution-bij", "vinwsd"):
+        assert run_suite(suite, 5).all_pass, suite
+    slots = weyl.AffineWeylElement.__slots__
+    assert set(slots) == {"group", "mu", "_word", "_inv", "_len"}
+    for x in elements:
+        for name in slots:
+            value = getattr(x, name)
+            assert not (isinstance(value, tuple) and any(isinstance(v, tuple) for v in value))
+
+
+RELABEL_THAT_MOVES_NOTHING = """
 import json
 from cograss import checks, weyl
-
-def columns_only(self, perm):
-    cols = [None] * len(self.cols)
-    for k, col in enumerate(self.cols):
-        cols[perm[k]] = col
-    return weyl.AffineWeylElement(self.group, tuple(cols), self._len)
-
-weyl.AffineWeylElement.relabel = columns_only
+weyl.AffineWeylElement.relabel = lambda self, perm: self
 print(json.dumps([[c.params, c.note] for c in checks.run_suite("iota-conj", 5).failed]))
 """
 
 
 def test_iota_conjugation_fails_on_a_wrong_relabel_with_asserts_stripped():
     """iota-conj compares iota(s_i) with s_iota(i) explicitly, so under python -O
-    a relabel that moves the columns but not their entries fails that record on
-    every context, with no exception raised."""
-    run = _run_with_asserts_stripped("-c", RELABEL_WITHOUT_ENTRIES)
+    a relabel that returns the element unmoved (iota swaps nodes 0 and d, so
+    s_0 must move) fails that record on every context, with no exception raised."""
+    run = _run_with_asserts_stripped("-c", RELABEL_THAT_MOVES_NOTHING)
     assert run.returncode == 0, run.stderr[-2000:]
     contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
     assert len(contexts) == 29

@@ -137,6 +137,19 @@ def test_validate_involution_refuses_a_bad_node_map(involution, message):
         _validate_involution(build_diagram("A", 3, affine=True), involution)
 
 
+def test_iota_fixes_delta_on_every_context():
+    """The build does not check that iota fixes delta: a node permutation that
+    preserves the affine Cartan matrix maps its one-dimensional kernel to itself,
+    and so fixes the primitive positive kernel vector delta."""
+    pairs = list(cominuscule_pairs(8, include_e7=True))
+    assert ("E", 7, 7) in pairs
+    for pair in pairs:
+        ctx = build_context(*pair)
+        delta = ctx.delta()
+        assert ctx.iota_root(delta) == delta, pair
+        assert [delta[ctx.involution[i]] for i in ctx.affine_diagram.nodes] == list(delta)
+
+
 def test_involution_read_refuses_an_element_other_than_w_levi():
     """w_J s_1 = s_3 in A3 d=2 fixes alpha_1, so -w_J does not permute the Levi
     simple roots and no involution is read."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cograss.checks import cominuscule_pairs
-from cograss.cominuscule import build_context
+from cograss.cominuscule import build_context, cominuscule_nodes
 from cograss.rootsys import (
     build_diagram,
     highest_root,
@@ -33,6 +33,7 @@ from cograss.weyl import (
 )
 
 from oracles import (
+    ColumnMatrix,
     acts_as_translation,
     coroot_coordinates,
     is_negative_vec,
@@ -812,6 +813,77 @@ def test_simple_products_match_the_plain_reflection_oracle(series, rank):
             w = w.mul_simple_right(node)
             cols, length = right_simple_product(diagram, cols, length, node)
             assert (w.cols, w._len) == (cols, length)
+
+
+MATRIX_ORACLE_FINITE = ([("A", n) for n in range(1, 6)] + [("B", n) for n in (2, 3, 4)]
+                        + [("C", n) for n in (3, 4)] + [("D", n) for n in (4, 5)]
+                        + [("E", n) for n in (6, 7, 8)])
+
+
+def oracle_roots(diagram, rng):
+    """Sixty real roots: finite roots of either sign, shifted by -1, 0 or 1 delta
+    in the affine case."""
+    finite = [i for i in diagram.nodes if i != 0]
+    shifts = (-1, 0, 1) if diagram.affine else (0,)
+    delta = diagram.delta if diagram.affine else (0,) * len(diagram.nodes)
+    roots = [tuple(sign * a + k * m for a, m in zip(alpha, delta))
+             for alpha in positive_roots(diagram, finite) for sign in (1, -1) for k in shifts]
+    return rng.sample(sorted(roots), min(60, len(roots)))
+
+
+@pytest.mark.parametrize("series, rank, affine",
+                         [(s, r, True) for s, r in AFFINE_TO_RANK_8]
+                         + [(s, r, False) for s, r in MATRIX_ORACLE_FINITE])
+def test_elements_match_the_column_matrix_oracle(series, rank, affine):
+    """Oracle: on seeded words, every operation on mu agrees with the column-matrix
+    model built from the same letters, which never reads an element: equality and
+    hashes, descents, carried and stripped lengths, reduced words, inversions, the
+    products *, mul_simple_right, mul_simple_left and relabel, act, cols and
+    semidirect_pair.  It
+    fails on each of these mutations: the sign of the mu update flipped, d_k dropped
+    from the inversion rule, and a left product that subtracts alpha_i instead of
+    w^{-1}(alpha_i)."""
+    g = group_of(series, rank, affine)
+    diagram = g.diagram
+    nodes = diagram.nodes
+    rng = random.Random(f"matrix oracle {series}{rank} {affine}")
+    roots = oracle_roots(diagram, rng)
+    perms = ([build_context(series, rank, d).involution for d in cominuscule_nodes(series, rank)]
+             if affine else [])
+    cases = []
+    for _ in range(8):
+        letters = [rng.choice(nodes) for _ in range(rng.randrange(2 * rank + 6))]
+        twice = rng.choice(nodes)
+        for word in (letters, letters + [twice, twice]):
+            cases.append((g.from_word(word), ColumnMatrix.from_word(diagram, word)))
+    for w, model in cases:
+        for node in nodes:
+            right = w.mul_simple_right(node)
+            assert (right.cols, right._len) == right_simple_product(
+                diagram, model.cols, model.length, node)
+        assert w.cols == model.cols
+        assert w.length() == model.length
+        fresh = AffineWeylElement(g, model.cols)
+        assert fresh == w and hash(fresh) == hash(w) and fresh._len is None
+        assert fresh.length() == model.length
+        assert w.reduced_word() == fresh.reduced_word() == model.reduced_word()
+        assert [w.has_right_descent(i) for i in nodes] == model.descents()
+        assert w.first_right_descent() == next(
+            (i for i, flag in zip(nodes, model.descents()) if flag), None)
+        assert w.inversions(roots) == model.inversions(roots)
+        assert w.semidirect_pair() == model.semidirect_pair()
+        for node in nodes:
+            assert w.mul_simple_left(node).cols == model.mul_simple_left(node).cols
+        vec = tuple(rng.randrange(-3, 4) for _ in nodes)
+        assert w.act(vec) == model.act(vec)
+        for perm in perms:
+            twisted = w.relabel(perm)
+            assert twisted.cols == model.relabel(perm).cols and twisted.length() == model.length
+    for (x, mx), (y, my) in itertools.product(cases, repeat=2):
+        assert (x == y) == (mx.cols == my.cols)
+        assert x != y or hash(x) == hash(y)
+    for (x, mx), (y, my) in zip(cases, cases[1:]):
+        assert (x * y).cols == (mx * my).cols
 
 
 def test_stripping_builds_no_element(monkeypatch):

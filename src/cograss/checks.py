@@ -162,14 +162,16 @@ def check_shift_bijection(ctx: CominusculeContext) -> bool:
 def check_main_predicate(ctx: CominusculeContext) -> bool:
     """Schubert-closure predicate vs criterion (6), with the length chain:
     l(w * v^-1 * v * w_levi) >= dim G/B, with equality iff the closure is Schubert.
-    iota(v) w_levi = w0 w holds by the construction of v, so it is not compared."""
+    The chain is grouped from the left, so each fold reads the held word of
+    v^-1, v or w_levi (* is associative).  iota(v) w_levi = w0 w holds by the
+    construction of v, so it is not compared."""
     dim_flag = len(positive_roots_of(ctx.group, ctx.finite_nodes))
     for w in ctx.min_reps:
         report = conormal.closure_is_schubert(ctx, w)
         if report.closure_is_schubert != report.smooth.c6:
             return False
         v = report.v
-        chain = demazure(w, demazure(v.inverse(), demazure(v, ctx.w_levi))).length()
+        chain = demazure(demazure(demazure(w, v.inverse()), v), ctx.w_levi).length()
         if chain < dim_flag or (chain == dim_flag) != report.closure_is_schubert:
             return False
     return True
@@ -217,14 +219,16 @@ def check_bruhat_oracle(series: str, rank: int) -> bool:
 
 
 def check_demazure_associativity(series: str, rank: int) -> bool:
-    """(a * b) * c = a * (b * c), read off one table of the |W|^2 products."""
+    """(a * b) * c = a * (b * c), read off one table of the |W|^2 products,
+    indexed by position so that the |W|^3 comparisons are of integers."""
     elements = _sorted_elements(series, rank)
-    table = {(a, b): demazure(a, b) for a in elements for b in elements}
-    for a in elements:
-        for b in elements:
-            ab = table[a, b]
-            for c in elements:
-                if table[ab, c] != table[a, table[b, c]]:
+    position = {x: k for k, x in enumerate(elements)}
+    table = [[position[demazure(a, b)] for b in elements] for a in elements]
+    for row in table:
+        for b, ab in enumerate(row):
+            after = table[ab]
+            for c, bc in enumerate(table[b]):
+                if after[c] != row[bc]:
                     return False
     return True
 

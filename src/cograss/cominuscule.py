@@ -12,7 +12,9 @@ W_d^0 (holding the twisted duals), the dual cotangent roots Phi+_{aff Levi}
 minus Phi+_levi and their negation psi.  Both coset sets are cominuscule
 quotients, ordered by containment of inversion sets: W^P on the cotangent
 roots and W_d^0 on the dual ones (Proctor, Europ. J. Combin. 5, 1984;
-Stembridge, J. Algebraic Combin. 5, 1996).  The context owns ``conormal``'s
+Stembridge, J. Algebraic Combin. 5, 1996), and both are grown as the order
+ideals of those roots by ``weyl.cominuscule_min_reps``, one root per cover
+and no product.  The context owns ``conormal``'s
 per-element memos, so they die with it.
 
 The build reads its data and solves nothing: the involution comes off w_levi(alpha_j)
@@ -28,13 +30,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from operator import mul
 
 from .rootsys import DynkinDiagram, Vector, build_diagram, is_root, require
 from .weyl import (
     AffineWeylElement,
     WeylGroup,
-    enumerate_min_reps,
+    cominuscule_min_reps,
     longest_element,
     positive_roots_of,
 )
@@ -84,13 +87,15 @@ class CominusculeContext:
 
     @functools.cached_property
     def min_reps(self) -> frozenset[AffineWeylElement]:
-        """W^P: minimal representatives of the finite Weyl group over the Levi."""
-        return enumerate_min_reps(self.group, self.finite_nodes, self.levi_nodes)
+        """W^P: minimal representatives of the finite Weyl group over the Levi,
+        grown as the order ideals of the cotangent roots."""
+        return cominuscule_min_reps(self.group, self.finite_nodes, self.levi_nodes)
 
     @functools.cached_property
     def dual_min_reps(self) -> frozenset[AffineWeylElement]:
-        """W_d^0: minimal representatives of the affine Levi over the finite nodes."""
-        return enumerate_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
+        """W_d^0: minimal representatives of the affine Levi over the finite nodes,
+        grown as the order ideals of the dual cotangent roots."""
+        return cominuscule_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
 
     @functools.cached_property
     def dual_cotangent_roots(self) -> frozenset[Vector]:
@@ -106,9 +111,9 @@ class CominusculeContext:
 
     @functools.cached_property
     def shifted_root_sums(self) -> frozenset[Vector]:
-        """The sums x + y over x, y in psi that are roots."""
-        psi = self.shifted_cotangent_roots
-        sums = (tuple(a + b for a, b in zip(x, y)) for x in psi for y in psi)
+        """The sums x + y over x, y in psi that are roots, one test per unordered pair."""
+        pairs = combinations_with_replacement(self.shifted_cotangent_roots, 2)
+        sums = (tuple(a + b for a, b in zip(x, y)) for x, y in pairs)
         return frozenset(total for total in sums if is_root(self.affine_diagram, total))
 
     def delta(self) -> Vector:

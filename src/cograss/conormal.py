@@ -50,7 +50,7 @@ from .weyl import (
 class SmoothnessReport:
     """The four equivalent smoothness tests for one affine Levi element."""
 
-    c3: bool   # Demazure absorption: l(u^-1 * u w_levi) = l(u w_levi)
+    c3: bool   # Demazure absorption: l((u^-1 * u) * w_levi) = l(u w_levi)
     c4: bool   # (u w_levi)^-1 sends every simple root of Supp(u) negative
     c5: bool   # inversion set of u equals Phi+_{Supp(u)} minus Phi+_levi
     c6: bool   # u is the minimal coset form w_L w_{L & levi} for L = Supp(u)
@@ -135,11 +135,11 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
     supp = tuple(sorted(u.support()))
     w_supp = longest_element(ctx.group, supp)
     w_supp_levi = longest_element(ctx.group, set(supp) & set(ctx.levi_nodes))
-    u_wlevi = u * ctx.w_levi
-
     c6 = u == w_supp * w_supp_levi
     u_inv = u.inverse()
-    c3 = demazure(u_inv, u_wlevi).length() == u_wlevi.length()
+    # u^-1 * (u w_levi) regrouped by associativity of *, as u w_levi is
+    # length-additive for u in W^{finite}: each fold reads a word already held
+    c3 = demazure(demazure(u_inv, u), ctx.w_levi).length() == (u * ctx.w_levi).length()
     inv_uw = ctx.w_levi * u_inv  # (u w_levi)^-1, as w_levi is an involution
     c4 = all(inv_uw.has_right_descent(node) for node in supp)
 

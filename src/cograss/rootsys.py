@@ -49,7 +49,8 @@ class DynkinDiagram:
     root basis; ``symmetrizer`` is the minimal positive integer vector d
     with d_i C[i][j] symmetric.  ``_positive_roots`` holds Phi+ by sorted node
     tuple for each node set that ``positive_roots`` has validated on this very
-    object; it takes no part in equality, hashing or ``dataclasses.replace``.
+    object; it takes no part in equality, hashing or ``dataclasses.replace``,
+    and neither does the cached +-Phi set ``_finite_real_roots``.
     """
 
     series: str
@@ -83,6 +84,15 @@ class DynkinDiagram:
         vec = [0] * len(self.nodes)
         vec[self.index(node)] = 1
         return tuple(vec)
+
+    @functools.cached_property
+    def _finite_real_roots(self) -> frozenset[Vector]:
+        """+-Phi of the finite diagram, or of the finite part of an affine one, for
+        ``is_real_root``: kept once ``positive_roots`` has accepted it, so a
+        refusal is raised again on every call."""
+        finite = _finite_diagram(self.series, self.rank) if self.affine else self
+        pos = positive_roots(finite)
+        return pos | frozenset(tuple(-x for x in alpha) for alpha in pos)
 
 
 def _edges(series: str, rank: int) -> list[tuple[int, int, int, int]]:
@@ -153,15 +163,20 @@ def solve_exact(matrix: Sequence[Sequence[Fraction | int]],
 
 
 def _leading_minors_positive(sym: Sequence[Sequence[int]]) -> bool:
-    n = len(sym)
-    work = [[Fraction(x) for x in row] for row in sym]
-    for k in range(n):
-        # fraction-free enough for rank <= 9; pivot must stay positive
-        if work[k][k] <= 0:
+    """Whether every leading principal minor is positive, by fraction-free
+    (Bareiss) elimination: after step k the pivot is the (k+1)-th leading minor,
+    and each update divides exactly by the previous pivot (Sylvester's identity)."""
+    work = [list(row) for row in sym]
+    prev = 1
+    for k, top in enumerate(work):
+        pivot = top[k]
+        if pivot <= 0:
             return False
-        for r in range(k + 1, n):
-            factor = work[r][k] / work[k][k]
-            work[r] = [x - factor * y for x, y in zip(work[r], work[k])]
+        for r in range(k + 1, len(work)):
+            row = work[r]
+            factor = row[k]
+            work[r] = [(pivot * x - factor * y) // prev for x, y in zip(row, top)]
+        prev = pivot
     return True
 
 
@@ -408,13 +423,12 @@ def fundamental_coweight(diagram: DynkinDiagram, node: int) -> tuple[Fraction, .
 
 def is_real_root(diagram: DynkinDiagram, vec: Vector) -> bool:
     """Whether a lattice vector is +-alpha for a positive root alpha, plus n*delta
-    in the affine case: the affine vector is reduced to its finite part first."""
+    in the affine case: the affine vector is reduced to its finite part first,
+    and read against the one +-Phi set kept on the diagram."""
     if diagram.affine:
         level = vec[0]
-        vec = tuple(x - level * m for x, m in zip(vec, diagram.delta))[1:]
-        diagram = build_diagram(diagram.series, diagram.rank)
-    pos = positive_roots(diagram)
-    return vec in pos or tuple(-x for x in vec) in pos
+        vec = tuple(x - level * m for x, m in zip(vec, diagram.marks))[1:]
+    return vec in diagram._finite_real_roots
 
 
 def is_root(diagram: DynkinDiagram, vec: Vector) -> bool:

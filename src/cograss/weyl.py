@@ -22,15 +22,20 @@ the same way along w's reduced word.  The action ``act`` on a root-lattice
 vector folds the reversed word, with s_i changing coordinate i alone by
 <v, alpha_i^vee>.  The matrix of the action, ``cols`` (column k the image
 of alpha_k), is derived from the word on each read and never stored; only
-the semidirect split and the tests read it.  A matrix given to the
-constructor (``from_translation``, ``embed_finite_matrix``) is read into mu
+the semidirect split, the constructor and the tests read it.  A matrix
+given to the constructor (as ``embed_finite_matrix`` does) is read into mu
 once: mu_i is the height of the coroot w(alpha_i^vee), which is
-sum_k cols[i][k] d_k / d_i for the symmetrizer d.
+sum_k cols[i][k] d_k / d_i for the symmetrizer d.  The constructor refuses
+what is not the action of an element: in the affine case a mu whose level
+sum_i a_i^vee mu_i is not that of rho, h^vee (every element fixes the level,
+and a mu of positive level strips in finitely many steps, Kac Prop. 3.12),
+and then a matrix other than the ``cols`` its mu derives.
 
 The semidirect description W = W_0 x| (coroot lattice) is available as
 a derived view: ``semidirect_pair`` splits an element into its finite
 part and translation coweight, and ``from_translation`` builds a pure
-translation.  Each affine WeylGroup checks at construction that its
+translation from its mu, tau_q^{-1}(rho) = rho - h^vee nu(q) mod delta
+(Kac, (6.5.2)).  Each affine WeylGroup checks at construction that its
 affine generator equals s_theta composed with translation by -theta^vee,
 which pins the composition convention (u, q) = u o tau_q with group law
 (u, q)(u', q') = (u u', u'^{-1}(q) + q').  The split solves nothing: u
@@ -50,8 +55,11 @@ mu = rho, i.e. every entry is 1.
 Lengths are carried rather than recomputed.  The identity has length 0,
 and ``mul_simple_right`` gives w s_i the length l(w) - 1 when
 mu_i < 0 and l(w) + 1 otherwise, so everything built by
-``from_word`` or ``inverse`` arrives with its length.  Any other element
-(a product, a translation) strips a reduced word on its first
+``from_word`` or ``inverse`` arrives with its length, and so does a
+product u * w whose left factor carries one: each letter of w's word moves
+the length by one, down exactly when it meets a negative coordinate, so
+l(u * w) = l(u) + l(w) - 2 down.  Any other element (a translation, a
+product of a length-less factor) strips a reduced word on its first
 ``length()`` and keeps the result; ``reduced_word`` checks a carried
 length against the stripped one.
 
@@ -70,10 +78,17 @@ involution.
 u * w folds a reduced word of w into u on the right, and for a right descent
 s of w, u <= w iff min(u, us) <= ws (Bjorner-Brenti Prop. 2.2.7, Cor. 2.2.5).
 
-Coset sets W_S intersect W^J grow by left products alone: for u in W^J
+Coset sets W_S intersect W^J grow from the identity, carrying every length.
+In general (``enumerate_min_reps``) they grow by left products: for u in W^J
 and a simple s, either s u is in W^J or s u = u s' with s' in J (Deodhar's
 lemma, Invent. Math. 39, 1977), so a breadth-first search keeping the left
-products in W^J climbs one length per layer and carries every length.
+products in W^J climbs one length per layer.  A cominuscule quotient
+(``cominuscule_min_reps``) needs no product: u -> Inv(u) maps it onto the
+order ideals of Lambda = Phi+_S minus Phi+_J under root order (Proctor,
+Europ. J. Combin. 5, 1984; Stembridge, J. Algebraic Combin. 5, 1996).  A
+cover s_i u > u adds the one root beta = u^{-1}(alpha_i), so mu(s_i u) =
+u^{-1}(rho - alpha_i) = mu(u) - beta, a subtraction of beta in weight
+coordinates, and <mu(u), beta^vee> = 1 certifies that u(beta) is simple.
 """
 
 from __future__ import annotations
@@ -90,7 +105,6 @@ from .rootsys import (
     finite_type_nodes,
     highest_root,
     inner_form,
-    pairing,
     positive_roots,
     require,
 )
@@ -100,8 +114,9 @@ class AffineWeylElement:
     """An element of a finite or affine Weyl group, stored as mu = w^{-1}(rho).
 
     The constructor takes the matrix of the action on the root lattice
-    (column k the image of alpha_k) and reads mu off it once; the group's
-    own products build elements from mu directly.
+    (column k the image of alpha_k), reads mu off it once and refuses a
+    matrix that is not an element's action; the group's own products build
+    elements from mu directly.
     """
 
     __slots__ = ("group", "mu", "_word", "_inv", "_len")
@@ -120,6 +135,10 @@ class AffineWeylElement:
         self._word: Optional[tuple[int, ...]] = None
         self._inv: Optional["AffineWeylElement"] = None
         self._len = length
+        if group.diagram.affine and sum(map(mul, group._comarks, mu)) != group._dual_coxeter:
+            raise InvariantError("mu does not have the level of rho")
+        if self.cols != tuple(map(tuple, cols)):
+            raise InvariantError("matrix is not the action of the element its mu names")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, AffineWeylElement)
@@ -159,9 +178,13 @@ class AffineWeylElement:
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         if self.group is not other.group:
             raise ValueError("elements belong to different Weyl groups")
+        word = other.reduced_word()
         mu = list(self.mu)
-        self.group._fold(mu, other.reduced_word())
-        return _element(self.group, tuple(mu))
+        down = self.group._fold(mu, word)
+        length = self._len
+        if length is not None:
+            length += len(word) - 2 * down
+        return _element(self.group, tuple(mu), length)
 
     def mul_simple_right(self, node: int) -> "AffineWeylElement":
         """self * s_node: s_node applied to mu moves only the node's Cartan neighbours.
@@ -321,7 +344,9 @@ class WeylGroup:
     alpha_j in weight coordinates (Cartan column j); ``_node_index`` maps a
     node label to its position, built once, and ``_first`` is the first label
     (nodes are consecutive); ``_longest``, the group's one cache, holds the
-    parabolic longest elements by sorted node tuple.
+    parabolic longest elements by sorted node tuple.  An affine group also
+    keeps the comarks a_i^vee (``_comarks``) and their sum h^vee, the level
+    of rho (``_dual_coxeter``).
     """
 
     _instances: dict[DynkinDiagram, "WeylGroup"] = {}
@@ -354,6 +379,9 @@ class WeylGroup:
         self._longest: dict[tuple[int, ...], AffineWeylElement] = {}
         if diagram.affine:
             self.finite_diagram = build_diagram(diagram.series, diagram.rank)
+            d = diagram.symmetrizer  # a_i^vee = a_i d_i / d_0
+            self._comarks = tuple(a * di // d[0] for a, di in zip(diagram.delta, d))
+            self._dual_coxeter = sum(self._comarks)
             self._check_loop_conventions()
         else:
             self.finite_diagram = diagram
@@ -392,7 +420,12 @@ class WeylGroup:
         return self.from_word(int(tok) for tok in text.split()) if text else self.identity
 
     def from_translation(self, coroot: Sequence[int]) -> AffineWeylElement:
-        """The translation tau_q, q in the coroot lattice: alpha -> alpha - <alpha, q> delta."""
+        """The translation tau_q, q in the coroot lattice: alpha -> alpha - <alpha, q> delta.
+
+        Built from mu = tau_q^{-1}(rho) = rho - h^vee nu(q) mod delta (Kac, (6.5.2);
+        rho has level h^vee, and delta pairs to 0 with every coroot), with
+        nu(q) = sum_j q_j (d_0/d_j) alpha_j as in the module docstring.
+        """
         diagram = self.diagram
         if not diagram.affine:
             raise ValueError("translations exist only in affine Weyl groups")
@@ -400,12 +433,10 @@ class WeylGroup:
             raise ValueError("coweight length does not match the finite rank")
         if not all(isinstance(x, int) for x in coroot):
             raise ValueError("coweight is off the coroot lattice: entries must be integers")
-        delta = diagram.delta
-        finite = self.finite_diagram
-        shifts = [pairing(finite, finite.simple_root(j), coroot) for j in finite.nodes]
-        shifts.insert(0, -sum(map(mul, delta[1:], shifts)))  # alpha_0 = delta - theta
-        return AffineWeylElement(self, tuple(tuple((a == b) - s * m for a, m in enumerate(delta))
-                                             for b, s in enumerate(shifts)))
+        d = diagram.symmetrizer
+        nu = (0,) + tuple(d[0] // dj * qj for dj, qj in zip(d[1:], coroot))
+        return _element(self, tuple(1 - self._dual_coxeter * sum(c * nu[k] for k, c in row)
+                                    for row in self._cartan_row))
 
     def embed_finite_matrix(self, ucols: Sequence[Vector]) -> AffineWeylElement:
         """Extend a finite Weyl matrix to the affine lattice (delta fixed)."""
@@ -430,14 +461,15 @@ class WeylGroup:
     # -- convention validation ----------------------------------------------------
 
     def _check_loop_conventions(self) -> None:
-        """Pin the semidirect conventions via s_0 = (s_theta, -theta^vee)."""
-        diagram = self.diagram
-        theta = diagram.delta[1:]
-        # s_theta(alpha_j) = alpha_j + C[0][j] * theta on the finite lattice
-        s_theta = self.embed_finite_matrix(tuple(
-            tuple((a == j) + diagram.cartan[0][j] * t for a, t in enumerate(theta, 1))
-            for j in range(1, diagram.rank + 1)))
+        """Pin the semidirect conventions via s_0 = (s_theta, -theta^vee).
+
+        s_theta is built from mu = s_theta(rho) = rho - <rho, theta^vee> theta, where
+        <rho, theta^vee> is the height of theta^vee and theta = delta - alpha_0."""
+        theta = (0,) + self.diagram.delta[1:]
         theta_covec = theta_coroot(self.finite_diagram)
+        height = sum(theta_covec)
+        s_theta = _element(self, tuple(1 - height * sum(c * theta[k] for k, c in row)
+                                       for row in self._cartan_row))
         candidate = s_theta * self.from_translation(tuple(-x for x in theta_covec))
         require(candidate == self.simple[0],
                 "semidirect convention mismatch: s_0 != (s_theta, -theta^vee)")
@@ -575,6 +607,69 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
     if expected % order_both or len(reps) != expected // order_both:
         raise InvariantError("minimal representative count does not match the index")
     return frozenset(reps)
+
+
+def cominuscule_min_reps(group: WeylGroup, span_nodes: Iterable[int],
+                         quotient_nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
+    """W_span intersect W^quotient for a cominuscule quotient, grown as order ideals.
+
+    The span less the quotient must be one node d whose coefficient is 1 in
+    every root of Lambda = Phi+_span minus Phi+_{span & quotient}.  From the
+    identity, each ideal I grows by each minimal root beta of Lambda minus I,
+    and the new element is mu(u) - beta with length l(u) + 1 (module
+    docstring); <mu(u), beta^vee> = 1 is required of every step.  beta's
+    weight vector and its lower and upper covers in Lambda (differences by a
+    simple root) are read once.  Cardinality is checked against
+    |W_span| / |W_{span & quotient}|, as in ``enumerate_min_reps``.
+    """
+    diagram = group.diagram
+    span = finite_type_nodes(diagram, span_nodes)
+    quo = set(quotient_nodes)
+    if not quo <= set(diagram.nodes):
+        raise ValueError(f"nodes {tuple(sorted(quo))} are not nodes of the diagram")
+    both = tuple(node for node in span if node in quo)
+    if len(span) - len(both) != 1:
+        raise ValueError("a cominuscule quotient leaves exactly one node of the span")
+    d = group._node_index[next(node for node in span if node not in quo)]
+    lam = sorted(positive_roots(diagram, span) - positive_roots(diagram, both))
+    if any(beta[d] != 1 for beta in lam):
+        raise ValueError("the quotient is not cominuscule")
+    position = {beta: b for b, beta in enumerate(lam)}
+    steps, lower, upper = [], [], [[] for _ in lam]
+    for b, beta in enumerate(lam):
+        weight = tuple(sum(c * beta[k] for k, c in row) for row in group._cartan_row)
+        # (x|beta) = sum_k beta_k d_k <x, alpha_k^vee>, so <mu, beta^vee> = 1 iff
+        # sum_k beta_k d_k mu_k = (beta|beta)/2
+        scaled = tuple(map(mul, beta, diagram.symmetrizer))
+        steps.append((weight, scaled, sum(map(mul, scaled, weight)) // 2))
+        below = 0
+        for j in map(group._node_index.__getitem__, span):
+            a = position.get(beta[:j] + (beta[j] - 1,) + beta[j + 1:])
+            if a is not None:
+                below |= 1 << a
+                upper[a].append(b)
+        lower.append(below)
+    grown = {0: group.identity}  # ideal, as a bit mask over lam -> element
+    stack = [(0, tuple(b for b, below in enumerate(lower) if not below))]
+    while stack:
+        ideal, addable = stack.pop()
+        u = grown[ideal]
+        for b in addable:
+            bigger = ideal | 1 << b
+            if bigger in grown:
+                continue
+            weight, scaled, half = steps[b]
+            if sum(map(mul, scaled, u.mu)) != half:
+                raise InvariantError(
+                    "u sends a minimal root outside its ideal to a non-simple root")
+            grown[bigger] = _element(group, tuple(map(sub, u.mu, weight)), u._len + 1)
+            stack.append((bigger, tuple(a for a in addable if a != b)
+                          + tuple(a for a in upper[b] if not lower[a] & ~bigger)))
+    found = frozenset(grown.values())
+    expected, order_both = weyl_order(diagram, span), weyl_order(diagram, both)
+    if expected % order_both or len(found) != expected // order_both:
+        raise InvariantError("minimal representative count does not match the index")
+    return found
 
 
 def weyl_elements(group: WeylGroup, nodes: Iterable[int]) -> frozenset[AffineWeylElement]:

@@ -1,8 +1,9 @@
 """Slow independent routes that the tests hold the library's closed forms to.
 
 Each oracle filters or solves where the library reads: positive roots by
-reflect-and-filter closure, root signs by coefficient signs, coroot
-coordinates and translation parts by an exact Gaussian elimination,
+reflect-and-filter closure, leading minors by elimination in Fractions,
+root signs by coefficient signs, coroot coordinates and translation parts
+by an exact Gaussian elimination,
 "is w a translation?" by a test on the columns of its matrix, and the
 right product w s_i by applying w to each reflected simple root.
 ``ColumnMatrix`` models a whole element as the matrix of its action, built
@@ -73,6 +74,19 @@ def reflection_closure(diagram: DynkinDiagram, nodes: Sequence[int]) -> frozense
                     fresh.append(img)
         frontier = fresh
     return frozenset(pos)
+
+
+def fraction_minors_positive(sym: Sequence[Sequence[int]]) -> bool:
+    """Whether every leading principal minor is positive, by Gaussian elimination
+    in Fractions: the k-th pivot is the ratio of the k-th and (k-1)-th minors."""
+    work = [[Fraction(x) for x in row] for row in sym]
+    for k in range(len(work)):
+        if work[k][k] <= 0:
+            return False
+        for r in range(k + 1, len(work)):
+            factor = work[r][k] / work[k][k]
+            work[r] = [x - factor * y for x, y in zip(work[r], work[k])]
+    return True
 
 
 def coroot_coordinates(diagram: DynkinDiagram,

@@ -173,10 +173,10 @@ def test_finite_type_is_decided_without_the_determinant(monkeypatch, fresh_conte
 
 
 def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
-    """Op-count gate: W^P and W_d^0 once each, on contexts built fresh;
-    check_min_rep_sets reads both off the context.  checks is patched too,
-    though it does not import the enumeration, so a re-import is counted."""
-    real = weyl.enumerate_min_reps
+    """Op-count gate: W^P and W_d^0 are grown once each, on contexts built
+    fresh; check_min_rep_sets reads both off the context.  checks is patched
+    too, though it does not import the grower, so a re-import is counted."""
+    real = weyl.cominuscule_min_reps
     calls = []
 
     def counting(group, *args, **kwargs):
@@ -184,13 +184,43 @@ def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
         return real(group, *args, **kwargs)
 
     for module in (weyl, cominuscule, checks):
-        monkeypatch.setattr(module, "enumerate_min_reps", counting, raising=False)
+        monkeypatch.setattr(module, "cominuscule_min_reps", counting, raising=False)
     fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
     monkeypatch.setattr(checks, "build_context", fresh)
     assert run_suite("all", 5).all_pass
     contexts = len(list(checks.cominuscule_pairs(5)))
     assert fresh.cache_info().currsize == contexts
     assert 0 < calls.count(True) <= 2 * contexts
+
+
+STRIPPED_LETTERS = """
+from cograss import checks, weyl
+real = weyl.AffineWeylElement.reduced_word
+letters = []
+
+def counting(self):
+    fresh = self._word is None
+    word = real(self)
+    if fresh:
+        letters.append(len(word))
+    return word
+
+weyl.AffineWeylElement.reduced_word = counting
+assert checks.run_suite("main-result", 5).all_pass
+print(sum(letters))
+"""
+
+
+def test_main_result_strips_at_most_4000_letters():
+    """Op-count gate: in a fresh interpreter, run_suite("main-result", 5) strips at
+    most 4,000 letters of reduced words (3,775).  c3 and the length chain fold
+    only words that u, v, v^-1 and w_levi already hold, and products carry their
+    lengths; folding freshly built products stripped 9,940."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", STRIPPED_LETTERS], capture_output=True,
+                         text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert 0 < int(run.stdout) <= 4000
 
 
 def test_oracles_call_demazure_at_most_twice_per_pair_of_elements(monkeypatch):

@@ -16,11 +16,12 @@ from cograss.rootsys import (
     highest_root,
     inner_form,
     is_finite_type,
+    is_real_root,
     pairing,
     positive_roots,
 )
 
-from oracles import is_positive_vec, reflect, reflection_closure
+from oracles import fraction_minors_positive, is_positive_vec, reflect, reflection_closure
 
 ALL_FINITE = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 8)]
               + [("C", n) for n in range(2, 8)] + [("D", n) for n in range(4, 8)]
@@ -245,6 +246,35 @@ def test_hand_built_diagram_is_refused():
     assert not is_finite_type(bad, (0, 1))
     with pytest.raises(ValueError, match="build_diagram"):
         positive_roots(bad, (0, 1))
+
+
+def test_integer_minor_test_matches_the_fraction_oracle():
+    """Bareiss elimination against elimination in Fractions: both accept the
+    symmetrized Cartan matrix of every finite diagram to rank 12, and both
+    refuse every affine one (its determinant is 0), with the nodes in order
+    and reversed."""
+    from cograss.rootsys import _leading_minors_positive, _symmetrized
+    series = ([("A", n) for n in range(1, 13)] + [("B", n) for n in range(2, 13)]
+              + [("C", n) for n in range(2, 13)] + [("D", n) for n in range(4, 13)]
+              + [("E", n) for n in (6, 7, 8)])
+    for (name, rank), affine in itertools.product(series, (False, True)):
+        sym = _symmetrized(build_diagram(name, rank, affine))
+        flipped = [row[::-1] for row in reversed(sym)]
+        for matrix in (sym, flipped):
+            assert _leading_minors_positive(matrix) == fraction_minors_positive(matrix) \
+                == (not affine), (name, rank, affine)
+
+
+def test_hand_built_diagram_is_refused_by_the_real_root_test():
+    """is_real_root keeps positive_roots' refusal of a diagram build_diagram did
+    not make, on every call, and accepts the built one."""
+    a3 = build_diagram("A", 3)
+    bad = dataclasses.replace(a3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="build_diagram"):
+            is_real_root(bad, (1, 1, 0))
+    assert is_real_root(a3, (1, 1, 0)) and is_real_root(a3, (0, -1, -1))
+    assert not is_real_root(a3, (1, 0, 1))
 
 
 def test_positive_roots_validate_each_node_set_once_per_diagram(monkeypatch):

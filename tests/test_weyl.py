@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cograss.checks import cominuscule_pairs
 from cograss.cominuscule import build_context, cominuscule_nodes
 from cograss.rootsys import (
+    InvariantError,
     build_diagram,
     highest_root,
     inner_form,
@@ -19,8 +20,10 @@ from cograss.rootsys import (
 from cograss.weyl import (
     AffineWeylElement,
     WeylGroup,
+    _element,
     bruhat_interval_check,
     bruhat_leq,
+    cominuscule_min_reps,
     demazure,
     enumerate_min_reps,
     is_min_rep,
@@ -655,11 +658,35 @@ def test_carried_length_matches_stripped_length_finite(series, rank):
             assert top.length() == len(positive_roots(g.diagram, subset))
 
 
+@pytest.mark.parametrize("series, rank", AFFINE_TO_RANK_8)
+def test_product_carries_the_stripped_length(series, rank):
+    """u * w carries l(u) + l(w) - 2 (letters of w that meet a descent) when u
+    carries a length.  On seeded affine words, with cancelling products among
+    them (u times the inverse of a suffix of its word, and u u^-1), the carried
+    length equals the one stripped from a fresh copy; a length-less left factor
+    gives a length-less product."""
+    g = group_of(series, rank, affine=True)
+    nodes = g.diagram.nodes
+    rng = random.Random(f"product length {series}{rank}")
+    for _ in range(12):
+        u, w = (g.from_word(rng.choice(nodes) for _ in range(rng.randrange(3 * rank + 6)))
+                for _ in range(2))
+        cut = rng.randrange(u.length() + 1)
+        suffix_inverse = g.from_word(reversed(u.reduced_word()[cut:]))
+        assert (u * suffix_inverse).length() == cut
+        for x, y in ((u, w), (w, u), (u, suffix_inverse), (u, u.inverse()), (w * u, w)):
+            product = x * y
+            assert product._len is not None
+            assert product.length() == stripped_length(product)
+        assert (_element(g, u.mu) * w)._len is None
+
+
 def test_inverting_an_identity_product_keeps_the_identity_self_inverse():
-    """s_1 s_1 is the identity without a carried length; its inverse is the
-    group's identity, which must stay its own inverse with length 0."""
+    """An element equal to the identity, built from mu without a carried length
+    (a product now carries one); its inverse is the group's identity, which must
+    stay its own inverse with length 0."""
     g = group_of("A", 2)
-    e = g.simple[1] * g.simple[1]
+    e = _element(g, g.identity.mu)
     assert e == g.identity and e is not g.identity and e._len is None
     assert e.inverse() is g.identity
     assert g.identity.inverse() is g.identity and g.identity._len == 0
@@ -749,6 +776,35 @@ def test_enumeration_matches_min_rep_and_right_product_oracles(series, rank):
         assert enumerate_min_reps(g, span, nodes) == frozenset({g.identity})
 
 
+# -- cominuscule quotients grown as order ideals, against the left-product search ---------
+
+
+@pytest.mark.parametrize("pair", list(cominuscule_pairs(6)) + [("E", 7, 7)])
+def test_cominuscule_grower_matches_the_left_product_search(pair):
+    """W^P and W_d^0 grown as order ideals equal enumerate_min_reps' sets, with
+    equal carried lengths, each the length a fresh copy strips: every context
+    to rank 6 (E6 included) and E7."""
+    ctx = build_context(*pair)
+    for span, quotient in ((ctx.finite_nodes, ctx.levi_nodes),
+                           (ctx.affine_levi_nodes, ctx.finite_nodes)):
+        grown = cominuscule_min_reps(ctx.group, span, quotient)
+        searched = enumerate_min_reps(ctx.group, span, quotient)
+        assert {x: x._len for x in grown} == {x: x._len for x in searched}
+        assert all(x.length() == stripped_length(x) for x in grown)
+
+
+def test_cominuscule_grower_refuses_other_quotients():
+    """One node of the span must be left, with coefficient 1 in every root of
+    Lambda: B3 over {1, 3} leaves node 2, which has coefficient 2 in theta."""
+    b3, a3 = group_of("B", 3), group_of("A", 3)
+    with pytest.raises(ValueError, match="not cominuscule"):
+        cominuscule_min_reps(b3, (1, 2, 3), (1, 3))
+    for quotient in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="exactly one node"):
+            cominuscule_min_reps(a3, (1, 2, 3), quotient)
+    assert cominuscule_min_reps(a3, (1, 2, 3), (1, 3)) == enumerate_min_reps(a3, (1, 2, 3), (1, 3))
+
+
 # -- reduced words on the rho vector and sparse products against the column strip ---------
 
 RHO_STRIP_FINITE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -783,7 +839,7 @@ def rho_strip_cases(series, rank, affine):
 def test_rho_strip_and_sparse_products_match_column_oracle(series, rank, affine):
     g, elements = rho_strip_cases(series, rank, affine)
     for w in elements:
-        fresh = w * g.identity
+        fresh = _element(g, w.mu)
         assert fresh._word is None and fresh._len is None
         word = column_strip_word(fresh)
         assert fresh.reduced_word() == word
@@ -793,6 +849,48 @@ def test_rho_strip_and_sparse_products_match_column_oracle(series, rank, affine)
             assert right == w * g.simple[s]
             assert right.length() == len(column_strip_word(right * g.identity))
             assert w.mul_simple_left(s) == g.simple[s] * w
+
+
+@pytest.mark.parametrize("series, rank", AFFINE_TO_RANK_8)
+def test_translations_and_s_theta_from_mu_match_the_column_matrix(series, rank):
+    """tau_q built from mu = rho - h^vee nu(q) has the matrix alpha_j -> alpha_j -
+    <alpha_j, q> delta of the column model, for seven seeded q and -theta^vee; and
+    s_theta embedded from its finite matrix times tau_{-theta^vee} is s_0, the
+    convention each affine group checks with s_theta built from its mu."""
+    g = group_of(series, rank, affine=True)
+    diagram, finite = g.diagram, g.finite_diagram
+    delta = diagram.delta
+    rng = random.Random(f"translation {series}{rank}")
+    theta_covec = theta_coroot(finite)
+    identity_cols = tuple(tuple(int(a == b) for a in range(rank)) for b in range(rank))
+    qs = [tuple(rng.randrange(-3, 4) for _ in range(rank)) for _ in range(7)]
+    for q in qs + [tuple(-x for x in theta_covec)]:
+        shifts = [sum(diagram.entry(i, j) * qi for i, qi in enumerate(q, 1))
+                  for j in finite.nodes]  # <alpha_j, q>
+        shifts.insert(0, -sum(m * x for m, x in zip(delta[1:], shifts)))  # alpha_0 = delta - theta
+        model = ColumnMatrix(diagram, [tuple(int(a == b) - s * m for a, m in enumerate(delta))
+                                       for b, s in enumerate(shifts)])
+        tau = g.from_translation(q)
+        assert tau.cols == model.cols
+        assert tau == AffineWeylElement(g, model.cols)
+        assert tau.semidirect_pair() == (identity_cols, q)
+    theta = delta[1:]
+    s_theta = g.embed_finite_matrix(tuple(
+        tuple((a == j) + diagram.cartan[0][j] * t for a, t in enumerate(theta, 1))
+        for j in range(1, rank + 1)))
+    assert s_theta * g.from_translation(tuple(-x for x in theta_covec)) == g.simple[0]
+
+
+@pytest.mark.parametrize("series, rank, cols, message", [
+    ("A", 1, ((-1, 0), (0, -1)), "level of rho"),
+    ("A", 2, ((1, 1, -1), (0, 1, 0), (0, 0, 1)), "not the action"),
+])
+def test_constructor_refuses_a_matrix_outside_the_group(series, rank, cols, message):
+    """On A~1, -1 has mu = (-1, -1) of level -2, whose strip never ends; on A~2 a
+    non-Weyl matrix reads back the identity's mu.  Both raise InvariantError."""
+    g = group_of(series, rank, affine=True)
+    with pytest.raises(InvariantError, match=message):
+        AffineWeylElement(g, cols)
 
 
 @pytest.mark.parametrize("series, rank", AFFINE_TO_RANK_8)

@@ -136,8 +136,12 @@ def check_min_rep_sets(ctx: CominusculeContext) -> bool:
 
 
 def check_connected_support(ctx: CominusculeContext) -> bool:
+    """Every u in W_d^0 but the identity has connected support.  Supp(u) is read
+    from u's smoothness report, which ``vinwsd`` has already built for the
+    twisted dual of equal mu, so u's word is not stripped again."""
     for u in ctx.dual_min_reps:
-        if not u.is_identity() and not is_connected(ctx.affine_diagram, u.support()):
+        if not u.is_identity() and not is_connected(ctx.affine_diagram,
+                                                    conormal.is_smooth(ctx, u).support):
             return False
     return True
 
@@ -244,9 +248,9 @@ def check_length_vee(series: str, rank: int) -> bool:
     return True
 
 
-def check_type_d_length_agreement(n: int) -> bool:
-    """Matrix-model length equals the signed-permutation inversion statistic."""
-    group = WeylGroup(build_diagram("D", n))
+def type_d_elements(n: int) -> set[detvar.SignedPermutation]:
+    """Every element of the finite D_n, by a breadth-first search over the
+    generator images in S_{2n} (test-scale ranks only)."""
     seen = {detvar.identity_perm(n)}
     frontier = [detvar.identity_perm(n)]
     while frontier:
@@ -258,6 +262,13 @@ def check_type_d_length_agreement(n: int) -> bool:
                     seen.add(q)
                     fresh.append(q)
         frontier = fresh
+    return seen
+
+
+def check_type_d_length_agreement(n: int) -> bool:
+    """Matrix-model length equals the signed-permutation inversion statistic."""
+    group = WeylGroup(build_diagram("D", n))
+    seen = type_d_elements(n)
     if len(seen) != 2 ** (n - 1) * factorial(n):
         return False
     for p in seen:

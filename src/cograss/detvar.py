@@ -22,6 +22,31 @@ chain elements factor the rank-stratum permutations w_r and their duals,
 which is what drives the conormal-fibre computation for the rank <= r
 skew-symmetric matrices.
 
+A signed permutation lifts to the affine D_n group with the fork marked
+in closed form, with no word (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, 8.2).  The value v <= n stands for +e_v and v > n for
+-e_{2n+1-v}; against rho = (n-1, ..., 1, 0) in the e-basis that signed
+unit vector has height
+
+    h(v) = n - v   (v <= n),      h(v) = n + 1 - v   (v > n).
+
+An element is stored as mu_i = <w^{-1}(rho), alpha_i^vee>, the height of
+w(alpha_i) (D_n is simply laced).  With alpha_i = e_i - e_{i+1},
+alpha_n = e_{n-1} + e_n and alpha_0 = delta - e_1 - e_2, where delta has
+height h^vee = 2n - 2,
+
+    mu_i = h(w(i)) - h(w(i+1))  (1 <= i < n),   mu_n = h(w(n-1)) + h(w(n)),
+    mu_0 = 2n - 2 - h(w(1)) - h(w(2)).
+
+``element_of`` is that map.  ``perm_of`` inverts it: mu_{n-1} and mu_n
+give h(w(n-1)) and h(w(n)), then h(w(i)) = h(w(i+1)) + mu_i going down.
+h is injective but for h(n) = h(n+1) = 0; a value and its flip never both
+appear, and the zero is split between n and n+1 by the parity of the
+values above n.  The result validates itself and must map forward to the
+element, so an element outside the finite D_n (s_0, a translation) is
+refused.  Both maps are O(n); ``perm_to_word`` and ``word_to_perm`` stay
+as the independent word route the tests hold them to.
+
 Only the skew-symmetric case is implemented here.  Ordinary and symmetric
 determinantal loci live in type A and type C cominuscule contexts; the
 generic pipeline (build_context + conormal.fibre_maximal) already accepts
@@ -54,9 +79,10 @@ class SignedPermutation:
             raise ValueError(f"expected {n} values, got {len(vals)}")
         if not all(1 <= v <= 2 * n for v in vals):
             raise ValueError("values must lie in 1..2n")
-        if len(set(vals)) != n:
+        distinct = set(vals)
+        if len(distinct) != n:
             raise ValueError("values must be distinct")
-        if any(2 * n + 1 - v in vals for v in vals):
+        if not distinct.isdisjoint(2 * n + 1 - v for v in vals):
             raise ValueError("a value and its flip cannot both appear")
         if sum(1 for v in vals if v > n) % 2 != 0:
             raise ValueError("type-D parity: the number of values above n must be even")
@@ -275,11 +301,49 @@ def dual_stratum_string(n: int, r: int) -> tuple[int, ...]:
     return full[:n]
 
 
-def element_of(ctx: CominusculeContext, perm: SignedPermutation) -> AffineWeylElement:
-    """Lift a signed permutation into the ambient affine Weyl group."""
-    if ctx.series != "D" or ctx.rank != perm.n or ctx.cominuscule_node != ctx.rank:
+def _require_fork_context(ctx: CominusculeContext, n: int) -> None:
+    if ctx.series != "D" or ctx.cominuscule_node != ctx.rank:
         raise ValueError("context must be type D with the fork node marked")
-    return ctx.group.from_word(perm_to_word(perm))
+    if ctx.rank != n:
+        raise ValueError(f"the signed permutation has {n} values, the context has rank {ctx.rank}")
+
+
+def _coroot_heights(perm: SignedPermutation) -> tuple[int, ...]:
+    """mu_0, ..., mu_n of the lift, from the heights h(w(i)) (module docstring)."""
+    n = perm.n
+    h = [n - v if v <= n else n + 1 - v for v in perm.values]
+    return ((2 * n - 2 - h[0] - h[1],) + tuple(h[i] - h[i + 1] for i in range(n - 1))
+            + (h[n - 2] + h[n - 1],))
+
+
+def element_of(ctx: CominusculeContext, perm: SignedPermutation) -> AffineWeylElement:
+    """Lift a signed permutation into the ambient affine Weyl group, in closed form."""
+    _require_fork_context(ctx, perm.n)
+    return ctx.group.from_mu(_coroot_heights(perm))
+
+
+def perm_of(ctx: CominusculeContext, element: AffineWeylElement) -> SignedPermutation:
+    """The signed permutation that ``element_of`` lifts to the element.
+
+    InvariantError unless the element lies in the finite D_n (module docstring).
+    """
+    n = ctx.rank
+    _require_fork_context(ctx, n)
+    if element.group is not ctx.group:
+        raise ValueError("element does not live in this context's Weyl group")
+    mu = element.coroot_heights()
+    h = [0] * n
+    h[n - 1] = (mu[n] - mu[n - 1]) // 2  # an odd difference fails the round trip below
+    for i in range(n - 2, -1, -1):
+        h[i] = h[i + 1] + mu[i + 1]
+    odd = sum(1 for x in h if x < 0) % 2  # a zero goes above n exactly when this is odd
+    values = tuple(n - x if x > 0 or (x == 0 and not odd) else n + 1 - x for x in h)
+    try:
+        perm = SignedPermutation(n, values)
+    except ValueError as exc:
+        raise InvariantError(f"mu names no element of the finite D_{n}: {exc}") from exc
+    require(_coroot_heights(perm) == mu, f"mu names no element of the finite D_{n}")
+    return perm
 
 
 def dual_stratum_holds(n: int, r: int) -> bool:
@@ -327,7 +391,7 @@ def fibre_rank(n: int, r: int) -> tuple[int, SignedPermutation]:
         raise InvariantError(f"rank-{r} stratum of n={n}: {exc}") from exc
     require(top == ctx.iota_elem(element_of(ctx, witness)),
             "fibre maximum does not match the involuted co-rank stratum")
-    label = word_to_perm(n, ctx.iota_elem(top).reduced_word())
+    label = perm_of(ctx, ctx.iota_elem(top))
     rank = sum(1 for value in label.values if value > n)
     k = rank // 2
     if top.length() != k * (2 * n - 2 * k - 1):

@@ -29,7 +29,8 @@ sum_k cols[i][k] d_k / d_i for the symmetrizer d.  The constructor refuses
 what is not the action of an element: in the affine case a mu whose level
 sum_i a_i^vee mu_i is not that of rho, h^vee (every element fixes the level,
 and a mu of positive level strips in finitely many steps, Kac Prop. 3.12),
-and then a matrix other than the ``cols`` its mu derives.
+and then a matrix other than the ``cols`` its mu derives.  ``WeylGroup.from_mu``
+takes mu itself, under the same level check, and ``coroot_heights`` reads it.
 
 The semidirect description W = W_0 x| (coroot lattice) is available as
 a derived view: ``semidirect_pair`` splits an element into its finite
@@ -135,8 +136,7 @@ class AffineWeylElement:
         self._word: Optional[tuple[int, ...]] = None
         self._inv: Optional["AffineWeylElement"] = None
         self._len = length
-        if group.diagram.affine and sum(map(mul, group._comarks, mu)) != group._dual_coxeter:
-            raise InvariantError("mu does not have the level of rho")
+        group._require_level(self.mu)
         if self.cols != tuple(map(tuple, cols)):
             raise InvariantError("matrix is not the action of the element its mu names")
 
@@ -227,6 +227,11 @@ class AffineWeylElement:
         return self._inv
 
     # -- length, words, descents ----------------------------------------------
+
+    def coroot_heights(self) -> Vector:
+        """mu_i = <w^{-1}(rho), alpha_i^vee>, one per node: the height of the coroot
+        w(alpha_i^vee), which ``WeylGroup.from_mu`` reads back."""
+        return self.mu
 
     def is_identity(self) -> bool:
         return self.mu == self.group.identity.mu
@@ -386,6 +391,11 @@ class WeylGroup:
         else:
             self.finite_diagram = diagram
 
+    def _require_level(self, mu: Vector) -> None:
+        """InvariantError unless an affine mu has the level of rho, sum_i a_i^vee mu_i = h^vee."""
+        if self.diagram.affine and sum(map(mul, self._comarks, mu)) != self._dual_coxeter:
+            raise InvariantError("mu does not have the level of rho")
+
     def _fold(self, vec: list[int], letters: Iterable[int]) -> int:
         """Apply s_i to weight coordinates in place for each letter in turn (word
         order); return how many letters met a negative coordinate."""
@@ -413,6 +423,19 @@ class WeylGroup:
         mu = [1] * len(self.diagram.nodes)
         down = self._fold(mu, letters)
         return _element(self, tuple(mu), len(letters) - 2 * down)
+
+    def from_mu(self, mu: Sequence[int]) -> AffineWeylElement:
+        """The element w with w^{-1}(rho) = mu, given by its coroot heights (one per node).
+
+        Refuses a vector of the wrong length and, in an affine group, one whose
+        level is not that of rho, as the matrix constructor does.  The length is
+        not carried; the first ``length()`` strips it.
+        """
+        mu = tuple(mu)
+        if len(mu) != len(self.diagram.nodes):
+            raise ValueError(f"mu needs {len(self.diagram.nodes)} entries, got {len(mu)}")
+        self._require_level(mu)
+        return _element(self, mu)
 
     def from_word_str(self, text: str) -> AffineWeylElement:
         """Parse the canonical space-separated word form ('' = identity)."""

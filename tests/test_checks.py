@@ -194,6 +194,7 @@ def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
 
 
 STRIPPED_LETTERS = """
+import sys
 from cograss import checks, weyl
 real = weyl.AffineWeylElement.reduced_word
 letters = []
@@ -206,9 +207,19 @@ def counting(self):
     return word
 
 weyl.AffineWeylElement.reduced_word = counting
-assert checks.run_suite("main-result", 5).all_pass
+assert checks.run_suite(sys.argv[1], 5).all_pass
 print(sum(letters))
 """
+
+
+def stripped_letters(suite: str) -> int:
+    """Letters of reduced words freshly stripped by run_suite(suite, 5) in a fresh
+    interpreter."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", STRIPPED_LETTERS, suite], capture_output=True,
+                         text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr[-2000:]
+    return int(run.stdout)
 
 
 def test_main_result_strips_at_most_4000_letters():
@@ -216,11 +227,15 @@ def test_main_result_strips_at_most_4000_letters():
     most 4,000 letters of reduced words (3,775).  c3 and the length chain fold
     only words that u, v, v^-1 and w_levi already hold, and products carry their
     lengths; folding freshly built products stripped 9,940."""
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", STRIPPED_LETTERS], capture_output=True,
-                         text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
-    assert run.returncode == 0, run.stderr[-2000:]
-    assert 0 < int(run.stdout) <= 4000
+    assert 0 < stripped_letters("main-result") <= 4000
+
+
+def test_vinwsd_strips_each_dual_min_rep_once():
+    """Op-count gate: run_suite("vinwsd", 5) strips at most 4,000 letters (3,775).
+    vinwsd-support reads Supp(u) from the smoothness report of the twisted dual
+    with equal mu, which vinwsd built; stripping every u in W_d^0 again took
+    4,842."""
+    assert 0 < stripped_letters("vinwsd") <= 4000
 
 
 def test_oracles_call_demazure_at_most_twice_per_pair_of_elements(monkeypatch):

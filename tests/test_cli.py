@@ -138,6 +138,14 @@ def test_conormal_accepts_signed_permutation_for_type_d(capsys):
     assert code == 2 and "type D" in err
 
 
+def test_conormal_refuses_a_permutation_of_the_wrong_rank(capsys):
+    code, out, err = run(capsys, "conormal", "--type", "D", "--rank", "4",
+                         "--comin", "4", "--w", "[1,2,3]")
+    assert code == 2 and out == ""
+    assert "has 3 values, the context has rank 4" in err
+    assert "fork node" not in err
+
+
 def test_conormal_full_fibre_flag(capsys):
     code, out, _ = run(capsys, "conormal", "--type", "A", "--rank", "3",
                        "--comin", "2", "--w", "", "--full-fibre", "--json")

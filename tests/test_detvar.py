@@ -11,10 +11,11 @@ from cograss.checks import (
     check_detvar_factorizations,
     check_type_d_length_agreement,
     run_suite,
+    type_d_elements,
 )
 from cograss.cominuscule import build_context
 from cograss.weyl import WeylGroup
-from cograss.rootsys import build_diagram
+from cograss.rootsys import InvariantError, build_diagram
 
 
 def test_word_to_perm_examples():
@@ -185,6 +186,59 @@ def test_fibre_path_never_enumerates(monkeypatch):
     ctx = build_context("A", 3, 2)
     assert len(conormal.fibre_maximal(ctx, ctx.group.identity)) == 1
     assert detvar.fibre_rank(8, 2) == (6, detvar.skew_rank_element(8, 6))
+
+
+def test_fibre_path_strips_no_signed_permutation(monkeypatch):
+    """element_of and the label read of fibre_rank use the closed forms, not words."""
+    def refuse(perm):
+        raise AssertionError("the fibre path must not strip a word off a signed permutation")
+
+    monkeypatch.setattr(detvar, "perm_to_word", refuse)
+    for n in range(4, 10):
+        nbar = detvar.even_rank(n)
+        for r in range(0, nbar + 1, 2):
+            assert detvar.fibre_rank(n, r) == (nbar - r, detvar.skew_rank_element(n, nbar - r))
+
+
+def _closed_forms_agree_with_words(ctx, perm):
+    n = perm.n
+    elem = detvar.element_of(ctx, perm)
+    assert elem == ctx.group.from_word(detvar.perm_to_word(perm))
+    assert detvar.perm_of(ctx, elem) == perm
+    assert detvar.word_to_perm(n, elem.reduced_word()) == perm
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_closed_forms_agree_with_words_on_every_element(n):
+    ctx = build_context("D", n, n)
+    for perm in type_d_elements(n):
+        _closed_forms_agree_with_words(ctx, perm)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_closed_forms_agree_with_words_on_seeded_words(n):
+    ctx = build_context("D", n, n)
+    rng = random.Random(n)
+    for _ in range(60):
+        word = [rng.randint(1, n) for _ in range(rng.randint(0, 3 * n))]
+        _closed_forms_agree_with_words(ctx, detvar.word_to_perm(n, word))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_perm_of_refuses_elements_outside_the_finite_group(n):
+    ctx = build_context("D", n, n)
+    group = ctx.group
+    outside = [group.simple[0], group.simple[0] * group.simple[n],
+               group.from_translation((1,) + (0,) * (n - 1)),
+               group.from_translation((0,) * (n - 1) + (-1,)), ctx.translation_element,
+               group.from_mu((0,) + (1,) * (n - 1) + (2,))]  # mu_n - mu_{n-1} is odd
+    for elem in outside:
+        with pytest.raises(InvariantError, match="no element of the finite"):
+            detvar.perm_of(ctx, elem)
+    with pytest.raises(ValueError, match="fork node"):
+        detvar.perm_of(build_context("D", n, 1), group.identity)
+    with pytest.raises(ValueError, match="Weyl group"):
+        detvar.perm_of(ctx, WeylGroup(build_diagram("D", n)).identity)
 
 
 def test_relations_crash_is_a_failed_record(monkeypatch):

@@ -893,6 +893,24 @@ def test_constructor_refuses_a_matrix_outside_the_group(series, rank, cols, mess
         AffineWeylElement(g, cols)
 
 
+@pytest.mark.parametrize("series, rank, affine", [
+    ("A", 3, False), ("B", 3, True), ("D", 5, True), ("E", 6, True)])
+def test_from_mu_reads_back_the_coroot_heights(series, rank, affine):
+    """from_mu inverts coroot_heights on seeded words, and refuses a vector of the
+    wrong length and, in an affine group, one off the level of rho."""
+    g = group_of(series, rank, affine=affine)
+    rng = random.Random(f"from_mu {series}{rank}")
+    for _ in range(20):
+        w = g.from_word(rng.choice(g.diagram.nodes) for _ in range(rng.randrange(3 * rank)))
+        assert g.from_mu(w.coroot_heights()) == w
+        assert g.from_mu(w.coroot_heights()).reduced_word() == w.reduced_word()
+    with pytest.raises(ValueError, match="entries"):
+        g.from_mu((1,) * (len(g.diagram.nodes) + 1))
+    if affine:
+        with pytest.raises(InvariantError, match="level of rho"):
+            g.from_mu((-1,) * len(g.diagram.nodes))
+
+
 @pytest.mark.parametrize("series, rank", AFFINE_TO_RANK_8)
 def test_simple_products_match_the_plain_reflection_oracle(series, rank):
     """Oracle: along 20 seeded words, each right product w s_i equals w applied to

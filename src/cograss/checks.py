@@ -251,13 +251,14 @@ def check_length_vee(series: str, rank: int) -> bool:
 def type_d_elements(n: int) -> set[detvar.SignedPermutation]:
     """Every element of the finite D_n, by a breadth-first search over the
     generator images in S_{2n} (test-scale ranks only)."""
+    gens = [detvar.generator_perm(n, i) for i in range(1, n + 1)]
     seen = {detvar.identity_perm(n)}
     frontier = [detvar.identity_perm(n)]
     while frontier:
         fresh = []
         for p in frontier:
-            for i in range(1, n + 1):
-                q = p * detvar.generator_perm(n, i)
+            for g in gens:
+                q = p * g
                 if q not in seen:
                     seen.add(q)
                     fresh.append(q)

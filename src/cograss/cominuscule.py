@@ -12,10 +12,9 @@ W_d^0 (holding the twisted duals), the dual cotangent roots Phi+_{aff Levi}
 minus Phi+_levi and their negation psi.  Both coset sets are cominuscule
 quotients, ordered by containment of inversion sets: W^P on the cotangent
 roots and W_d^0 on the dual ones (Proctor, Europ. J. Combin. 5, 1984;
-Stembridge, J. Algebraic Combin. 5, 1996), and both are grown as the order
-ideals of those roots by ``weyl.cominuscule_min_reps``, one root per cover
-and no product.  The context owns ``conormal``'s
-per-element memos, so they die with it.
+Stembridge, J. Algebraic Combin. 5, 1996), and ``weyl.enumerate_min_reps``
+grows both with no product, each cover subtracting one of those roots from
+mu.  The context owns ``conormal``'s per-element memos, so they die with it.
 
 The build reads its data and solves nothing: the involution comes off w_levi(alpha_j)
 = -alpha_iota(j) on the Levi nodes, never from case tables (the type-D closed form is a
@@ -37,7 +36,7 @@ from .rootsys import DynkinDiagram, Vector, build_diagram, is_root, require
 from .weyl import (
     AffineWeylElement,
     WeylGroup,
-    cominuscule_min_reps,
+    enumerate_min_reps,
     longest_element,
     positive_roots_of,
 )
@@ -88,14 +87,14 @@ class CominusculeContext:
     @functools.cached_property
     def min_reps(self) -> frozenset[AffineWeylElement]:
         """W^P: minimal representatives of the finite Weyl group over the Levi,
-        grown as the order ideals of the cotangent roots."""
-        return cominuscule_min_reps(self.group, self.finite_nodes, self.levi_nodes)
+        grown one cotangent root per cover."""
+        return enumerate_min_reps(self.group, self.finite_nodes, self.levi_nodes)
 
     @functools.cached_property
     def dual_min_reps(self) -> frozenset[AffineWeylElement]:
         """W_d^0: minimal representatives of the affine Levi over the finite nodes,
-        grown as the order ideals of the dual cotangent roots."""
-        return cominuscule_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
+        grown one dual cotangent root per cover."""
+        return enumerate_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
 
     @functools.cached_property
     def dual_cotangent_roots(self) -> frozenset[Vector]:

@@ -97,9 +97,8 @@ class SignedPermutation:
     def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        mine, theirs = self.window, other.window
-        return SignedPermutation(
-            self.n, tuple(mine[theirs[i] - 1] for i in range(self.n)))
+        mine = self.window
+        return SignedPermutation(self.n, tuple(mine[v - 1] for v in other.values))
 
     def inverse(self) -> "SignedPermutation":
         win = self.window

@@ -79,17 +79,16 @@ involution.
 u * w folds a reduced word of w into u on the right, and for a right descent
 s of w, u <= w iff min(u, us) <= ws (Bjorner-Brenti Prop. 2.2.7, Cor. 2.2.5).
 
-Coset sets W_S intersect W^J grow from the identity, carrying every length.
-In general (``enumerate_min_reps``) they grow by left products: for u in W^J
-and a simple s, either s u is in W^J or s u = u s' with s' in J (Deodhar's
-lemma, Invent. Math. 39, 1977), so a breadth-first search keeping the left
-products in W^J climbs one length per layer.  A cominuscule quotient
-(``cominuscule_min_reps``) needs no product: u -> Inv(u) maps it onto the
-order ideals of Lambda = Phi+_S minus Phi+_J under root order (Proctor,
-Europ. J. Combin. 5, 1984; Stembridge, J. Algebraic Combin. 5, 1996).  A
-cover s_i u > u adds the one root beta = u^{-1}(alpha_i), so mu(s_i u) =
-u^{-1}(rho - alpha_i) = mu(u) - beta, a subtraction of beta in weight
-coordinates, and <mu(u), beta^vee> = 1 certifies that u(beta) is simple.
+Coset sets W_S intersect W^J grow from the identity one length at a time,
+from mu alone.  Let Lambda = Phi+_S minus Phi+_{S & J}.  <mu(u), beta^vee> is
+the height of the coroot u(beta^vee), so it is 1 exactly when u(beta) is a
+simple root alpha_i; then s_i u = u s_beta is one length up, stays in W_S,
+and stays in W^J because beta is not in Phi_J (Deodhar's lemma, Invent. Math.
+39, 1977), and mu(s_i u) = u^{-1}(rho - alpha_i) = mu(u) - beta, a
+subtraction of beta in weight coordinates.  Conversely, a left descent s_i
+of v in W_S intersect W^J gives u = s_i v in the set and beta = u^{-1}(alpha_i)
+in Lambda, so the covers of u are the mu(u) - beta with <mu(u), beta^vee> = 1,
+and no product is made.
 """
 
 from __future__ import annotations
@@ -549,10 +548,6 @@ def min_rep(w: AffineWeylElement, nodes: Iterable[int]) -> AffineWeylElement:
             return x
 
 
-def is_min_rep(w: AffineWeylElement, nodes: Iterable[int]) -> bool:
-    return all(not w.has_right_descent(node) for node in nodes)
-
-
 def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:
     """Bruhat order by lifting on a right descent of w (BB Prop. 2.2.7), in l(w) steps at most."""
     if u.group is not w.group:
@@ -602,48 +597,12 @@ def demazure(u: AffineWeylElement, w: AffineWeylElement) -> AffineWeylElement:
 
 def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
                        quotient_nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
-    """Breadth-first enumeration of W_span intersect W^quotient.
+    """W_span intersect W^quotient, grown one length at a time from mu alone.
 
-    Layer k holds the elements of length k; a new left product s u that
-    is minimal over the quotient lies one layer up (Deodhar's lemma,
-    Invent. Math. 39, 1977) and carries l(u) + 1.  Cardinality is checked
-    against |W_span| / |W_{span & quotient}|.
-    """
-    span = finite_type_nodes(group.diagram, span_nodes)
-    quo = tuple(sorted(set(quotient_nodes)))
-    if not set(quo) <= set(group.diagram.nodes):
-        raise ValueError(f"nodes {quo} are not nodes of the diagram")
-    both = tuple(sorted(set(span) & set(quo)))  # an element of W_span descends only in span
-    reps = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        fresh = []
-        for u in frontier:
-            for node in span:
-                x = u.mul_simple_left(node)
-                if x not in reps and is_min_rep(x, both):
-                    x._len = u._len + 1
-                    reps.add(x)
-                    fresh.append(x)
-        frontier = fresh
-    expected, order_both = weyl_order(group.diagram, span), weyl_order(group.diagram, both)
-    if expected % order_both or len(reps) != expected // order_both:
-        raise InvariantError("minimal representative count does not match the index")
-    return frozenset(reps)
-
-
-def cominuscule_min_reps(group: WeylGroup, span_nodes: Iterable[int],
-                         quotient_nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
-    """W_span intersect W^quotient for a cominuscule quotient, grown as order ideals.
-
-    The span less the quotient must be one node d whose coefficient is 1 in
-    every root of Lambda = Phi+_span minus Phi+_{span & quotient}.  From the
-    identity, each ideal I grows by each minimal root beta of Lambda minus I,
-    and the new element is mu(u) - beta with length l(u) + 1 (module
-    docstring); <mu(u), beta^vee> = 1 is required of every step.  beta's
-    weight vector and its lower and upper covers in Lambda (differences by a
-    simple root) are read once.  Cardinality is checked against
-    |W_span| / |W_{span & quotient}|, as in ``enumerate_min_reps``.
+    The covers of u are mu(u) - beta for each root beta of Lambda = Phi+_span
+    minus Phi+_{span & quotient} with <mu(u), beta^vee> = 1, each carrying
+    l(u) + 1 (module docstring); beta's weight vector is read once.
+    Cardinality is checked against |W_span| / |W_{span & quotient}|.
     """
     diagram = group.diagram
     span = finite_type_nodes(diagram, span_nodes)
@@ -651,48 +610,30 @@ def cominuscule_min_reps(group: WeylGroup, span_nodes: Iterable[int],
     if not quo <= set(diagram.nodes):
         raise ValueError(f"nodes {tuple(sorted(quo))} are not nodes of the diagram")
     both = tuple(node for node in span if node in quo)
-    if len(span) - len(both) != 1:
-        raise ValueError("a cominuscule quotient leaves exactly one node of the span")
-    d = group._node_index[next(node for node in span if node not in quo)]
-    lam = sorted(positive_roots(diagram, span) - positive_roots(diagram, both))
-    if any(beta[d] != 1 for beta in lam):
-        raise ValueError("the quotient is not cominuscule")
-    position = {beta: b for b, beta in enumerate(lam)}
-    steps, lower, upper = [], [], [[] for _ in lam]
-    for b, beta in enumerate(lam):
+    steps = []
+    for beta in sorted(positive_roots(diagram, span) - positive_roots(diagram, both)):
         weight = tuple(sum(c * beta[k] for k, c in row) for row in group._cartan_row)
         # (x|beta) = sum_k beta_k d_k <x, alpha_k^vee>, so <mu, beta^vee> = 1 iff
         # sum_k beta_k d_k mu_k = (beta|beta)/2
         scaled = tuple(map(mul, beta, diagram.symmetrizer))
         steps.append((weight, scaled, sum(map(mul, scaled, weight)) // 2))
-        below = 0
-        for j in map(group._node_index.__getitem__, span):
-            a = position.get(beta[:j] + (beta[j] - 1,) + beta[j + 1:])
-            if a is not None:
-                below |= 1 << a
-                upper[a].append(b)
-        lower.append(below)
-    grown = {0: group.identity}  # ideal, as a bit mask over lam -> element
-    stack = [(0, tuple(b for b, below in enumerate(lower) if not below))]
-    while stack:
-        ideal, addable = stack.pop()
-        u = grown[ideal]
-        for b in addable:
-            bigger = ideal | 1 << b
-            if bigger in grown:
-                continue
-            weight, scaled, half = steps[b]
-            if sum(map(mul, scaled, u.mu)) != half:
-                raise InvariantError(
-                    "u sends a minimal root outside its ideal to a non-simple root")
-            grown[bigger] = _element(group, tuple(map(sub, u.mu, weight)), u._len + 1)
-            stack.append((bigger, tuple(a for a in addable if a != b)
-                          + tuple(a for a in upper[b] if not lower[a] & ~bigger)))
-    found = frozenset(grown.values())
+    reps = {group.identity.mu: group.identity}  # mu -> element
+    frontier = [group.identity]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            mu, length = u.mu, u._len + 1
+            for weight, scaled, half in steps:
+                if sum(map(mul, scaled, mu)) == half:
+                    cover = tuple(map(sub, mu, weight))
+                    if cover not in reps:
+                        reps[cover] = x = _element(group, cover, length)
+                        fresh.append(x)
+        frontier = fresh
     expected, order_both = weyl_order(diagram, span), weyl_order(diagram, both)
-    if expected % order_both or len(found) != expected // order_both:
+    if expected % order_both or len(reps) != expected // order_both:
         raise InvariantError("minimal representative count does not match the index")
-    return found
+    return frozenset(reps.values())
 
 
 def weyl_elements(group: WeylGroup, nodes: Iterable[int]) -> frozenset[AffineWeylElement]:

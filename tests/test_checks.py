@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from cograss import checks, cominuscule, conormal, detvar, rootsys, weyl
+from cograss import checks, cli, cominuscule, conormal, detvar, rootsys, weyl
 from cograss.checks import run_suite
 from cograss.rootsys import build_diagram
 from cograss.weyl import WeylGroup, longest_element
@@ -175,8 +175,9 @@ def test_finite_type_is_decided_without_the_determinant(monkeypatch, fresh_conte
 def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
     """Op-count gate: W^P and W_d^0 are grown once each, on contexts built
     fresh; check_min_rep_sets reads both off the context.  checks is patched
-    too, though it does not import the grower, so a re-import is counted."""
-    real = weyl.cominuscule_min_reps
+    too, though it does not import the grower, so a re-import is counted;
+    the oracles suite's weyl_elements calls run on finite groups and are not."""
+    real = weyl.enumerate_min_reps
     calls = []
 
     def counting(group, *args, **kwargs):
@@ -184,13 +185,53 @@ def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
         return real(group, *args, **kwargs)
 
     for module in (weyl, cominuscule, checks):
-        monkeypatch.setattr(module, "cominuscule_min_reps", counting, raising=False)
+        monkeypatch.setattr(module, "enumerate_min_reps", counting, raising=False)
     fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
     monkeypatch.setattr(checks, "build_context", fresh)
     assert run_suite("all", 5).all_pass
     contexts = len(list(checks.cominuscule_pairs(5)))
     assert fresh.cache_info().currsize == contexts
     assert 0 < calls.count(True) <= 2 * contexts
+
+
+def test_coset_growth_makes_no_product(monkeypatch, capsys):
+    """Op-count gate: growing W^P and W_d^0 on fresh C7, D7 and E7 contexts
+    (d = 7) folds no word, makes no simple product and strips no word.  With
+    the left product refused, the rank-5 sweep on fresh contexts,
+    fibre_rank(n, r) for n <= 7 and a conormal --fibre query still run: the
+    library no longer calls mul_simple_left."""
+    contexts = [cominuscule.build_context.__wrapped__(series, 7, 7) for series in "CDE"]
+    counts = Counter()
+    for owner, name in ((weyl.WeylGroup, "_fold"),
+                        (weyl.AffineWeylElement, "mul_simple_right"),
+                        (weyl.AffineWeylElement, "mul_simple_left"),
+                        (weyl.AffineWeylElement, "reduced_word")):
+        def counting(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    for ctx in contexts:
+        assert ctx.min_reps and ctx.dual_min_reps
+    assert not counts
+    group = contexts[0].group
+    group.identity.mul_simple_left(1).mul_simple_right(2) * group.simple[3]
+    assert set(counts) == {"_fold", "mul_simple_right", "mul_simple_left", "reduced_word"}
+
+    def refuse(self, node):
+        raise AssertionError("no library path may make a left product")
+
+    monkeypatch.setattr(weyl.AffineWeylElement, "mul_simple_left", refuse)
+    monkeypatch.setattr(checks, "build_context",
+                        functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__))
+    assert run_suite("all", 5).all_pass
+    for n in range(4, 8):
+        nbar = detvar.even_rank(n)
+        for r in range(0, nbar + 1, 2):
+            assert detvar.fibre_rank(n, r)[0] == nbar - r
+    assert cli.main(["conormal", "--type", "D", "--rank", "5", "--comin", "5", "--w", "",
+                     "--fibre", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["fibre_max"]
 
 
 STRIPPED_LETTERS = """

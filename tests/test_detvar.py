@@ -181,8 +181,7 @@ def test_fibre_path_never_enumerates(monkeypatch):
         raise AssertionError("the fibre maximum must not enumerate")
 
     monkeypatch.setattr(weyl, "enumerate_min_reps", refuse)
-    monkeypatch.setattr(weyl, "cominuscule_min_reps", refuse)
-    monkeypatch.setattr(cominuscule, "cominuscule_min_reps", refuse)
+    monkeypatch.setattr(cominuscule, "enumerate_min_reps", refuse)
     ctx = build_context("A", 3, 2)
     assert len(conormal.fibre_maximal(ctx, ctx.group.identity)) == 1
     assert detvar.fibre_rank(8, 2) == (6, detvar.skew_rank_element(8, 6))

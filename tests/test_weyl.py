@@ -23,10 +23,8 @@ from cograss.weyl import (
     _element,
     bruhat_interval_check,
     bruhat_leq,
-    cominuscule_min_reps,
     demazure,
     enumerate_min_reps,
-    is_min_rep,
     longest_element,
     min_rep,
     positive_roots_of,
@@ -720,8 +718,6 @@ def test_foreign_node_label_is_rejected(series, rank, affine, label):
         g.identity.mul_simple_right(label)
     with pytest.raises(ValueError, match=f"{label} is not a node"):
         x.has_right_descent(label)
-    with pytest.raises(ValueError, match=f"{label} is not a node"):
-        is_min_rep(x, [label])
 
 
 # -- enumeration against the strip-per-edge and right-product oracles ---------------------
@@ -776,33 +772,19 @@ def test_enumeration_matches_min_rep_and_right_product_oracles(series, rank):
         assert enumerate_min_reps(g, span, nodes) == frozenset({g.identity})
 
 
-# -- cominuscule quotients grown as order ideals, against the left-product search ---------
+# -- the contexts' coset sets against the left-product oracle ------------------------------
 
 
 @pytest.mark.parametrize("pair", list(cominuscule_pairs(6)) + [("E", 7, 7)])
 def test_cominuscule_grower_matches_the_left_product_search(pair):
-    """W^P and W_d^0 grown as order ideals equal enumerate_min_reps' sets, with
-    equal carried lengths, each the length a fresh copy strips: every context
-    to rank 6 (E6 included) and E7."""
+    """ctx.min_reps (W^P) and ctx.dual_min_reps (W_d^0) equal min_rep_bfs' sets,
+    and each carried length is the length a fresh copy strips: every context to
+    rank 6 (E6 included) and E7."""
     ctx = build_context(*pair)
-    for span, quotient in ((ctx.finite_nodes, ctx.levi_nodes),
-                           (ctx.affine_levi_nodes, ctx.finite_nodes)):
-        grown = cominuscule_min_reps(ctx.group, span, quotient)
-        searched = enumerate_min_reps(ctx.group, span, quotient)
-        assert {x: x._len for x in grown} == {x: x._len for x in searched}
-        assert all(x.length() == stripped_length(x) for x in grown)
-
-
-def test_cominuscule_grower_refuses_other_quotients():
-    """One node of the span must be left, with coefficient 1 in every root of
-    Lambda: B3 over {1, 3} leaves node 2, which has coefficient 2 in theta."""
-    b3, a3 = group_of("B", 3), group_of("A", 3)
-    with pytest.raises(ValueError, match="not cominuscule"):
-        cominuscule_min_reps(b3, (1, 2, 3), (1, 3))
-    for quotient in ((1,), (1, 2, 3)):
-        with pytest.raises(ValueError, match="exactly one node"):
-            cominuscule_min_reps(a3, (1, 2, 3), quotient)
-    assert cominuscule_min_reps(a3, (1, 2, 3), (1, 3)) == enumerate_min_reps(a3, (1, 2, 3), (1, 3))
+    for grown, span, quotient in ((ctx.min_reps, ctx.finite_nodes, ctx.levi_nodes),
+                                  (ctx.dual_min_reps, ctx.affine_levi_nodes, ctx.finite_nodes)):
+        assert grown == min_rep_bfs(ctx.group, span, quotient)
+        assert all(x._len is not None and x._len == stripped_length(x) for x in grown)
 
 
 # -- reduced words on the rho vector and sparse products against the column strip ---------

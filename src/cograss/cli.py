@@ -38,10 +38,6 @@ def _parse_element(ctx, text: str):
     """Word form always; bracketed signed permutations for type-D queries."""
     text = text.strip()
     if text.startswith("["):
-        if ctx.series != "D" or ctx.cominuscule_node != ctx.rank:
-            raise ValueError(
-                "bracketed signed permutations are only unambiguous for type D "
-                "with the fork node marked; use a space-separated word")
         return detvar.element_of(ctx, detvar.parse_perm(text))
     return ctx.group.from_word_str(text)
 

@@ -24,8 +24,8 @@ vector folds the reversed word, with s_i changing coordinate i alone by
 of alpha_k), is derived from the word on each read and never stored; only
 the semidirect split, the constructor and the tests read it.  A matrix
 given to the constructor (as ``embed_finite_matrix`` does) is read into mu
-once: mu_i is the height of the coroot w(alpha_i^vee), which is
-sum_k cols[i][k] d_k / d_i for the symmetrizer d.  The constructor refuses
+once, with no length: mu_i is the height of the coroot w(alpha_i^vee),
+which is sum_k cols[i][k] d_k / d_i for the symmetrizer d.  The constructor refuses
 what is not the action of an element: in the affine case a mu whose level
 sum_i a_i^vee mu_i is not that of rho, h^vee (every element fixes the level,
 and a mu of positive level strips in finitely many steps, Kac Prop. 3.12),
@@ -49,9 +49,13 @@ and then q_j = d_j (x_0 delta_j - x_j) / d_0.
 
 Reduced words strip right descents, smallest node index first, so
 reduced words, minimal representatives and traces are deterministic.
-The strip runs on a copy of mu, not on a chain of elements: stripping the
-first negative mu_i applies s_i to it, and the strip ends exactly when
-mu = rho, i.e. every entry is 1.
+One strip, ``WeylGroup._strip``, runs on a copy of mu, not on a chain of
+elements: it applies s_i at the first listed position with mu_i < 0 until
+there is none, each step one length down.  Over every position it ends on
+mu = rho (every entry 1), and its trace, reversed, is the reduced word; over
+J's it ends on the mu of ``min_rep``, w's minimal representative mod W_J.
+s_j ascends exactly where mu_j > 0, so ``longest_element`` strips -rho over
+J, ending on -mu(w_J) after l(w_J) steps.
 
 Lengths are carried rather than recomputed.  The identity has length 0,
 and ``mul_simple_right`` gives w s_i the length l(w) - 1 when
@@ -121,8 +125,7 @@ class AffineWeylElement:
 
     __slots__ = ("group", "mu", "_word", "_inv", "_len")
 
-    def __init__(self, group: "WeylGroup", cols: Sequence[Vector],
-                 length: Optional[int] = None):
+    def __init__(self, group: "WeylGroup", cols: Sequence[Vector]):
         d = group.diagram.symmetrizer
         mu = []
         for col, di in zip(cols, d):
@@ -134,7 +137,7 @@ class AffineWeylElement:
         self.mu = tuple(mu)
         self._word: Optional[tuple[int, ...]] = None
         self._inv: Optional["AffineWeylElement"] = None
-        self._len = length
+        self._len: Optional[int] = None
         group._require_level(self.mu)
         if self.cols != tuple(map(tuple, cols)):
             raise InvariantError("matrix is not the action of the element its mu names")
@@ -261,18 +264,8 @@ class AffineWeylElement:
         """
         if self._word is None:
             group = self.group
-            cartan_col = group._cartan_col
             mu = list(self.mu)
-            trace = []
-            while True:
-                for j, m in enumerate(mu):
-                    if m < 0:
-                        break
-                else:
-                    break
-                for i, c in cartan_col[j]:
-                    mu[i] -= m * c
-                trace.append(j)
+            trace = group._strip(mu, range(len(mu)))
             if any(m != 1 for m in mu):
                 raise InvariantError("strip does not end on rho")
             if self._len is not None and self._len != len(trace):
@@ -409,6 +402,22 @@ class WeylGroup:
                     vec[k] -= m * c
         return down
 
+    def _strip(self, mu: list[int], positions: Sequence[int]) -> list[int]:
+        """Apply s_j to mu in place at the first listed position j with mu_j < 0
+        until there is none; return the positions stripped, in order."""
+        cartan_col = self._cartan_col
+        trace = []
+        while True:
+            for j in positions:
+                m = mu[j]
+                if m < 0:
+                    break
+            else:
+                return trace
+            for i, c in cartan_col[j]:
+                mu[i] -= m * c
+            trace.append(j)
+
     # -- constructors -----------------------------------------------------------
 
     def from_word(self, letters: Iterable[int]) -> AffineWeylElement:
@@ -513,39 +522,33 @@ def theta_coroot(finite: DynkinDiagram) -> Vector:
 
 
 def longest_element(group: WeylGroup, nodes: Iterable[int]) -> AffineWeylElement:
-    """The longest element of the parabolic W_nodes (finite type required).
-
-    Built once per node set and kept in ``group._longest``.
+    """The longest element w_J of the parabolic W_nodes (finite type required):
+    -rho stripped over the nodes, one letter per step of l(w_J) (module
+    docstring).  Built once per node set and kept in ``group._longest``.
     """
     chosen = finite_type_nodes(group.diagram, nodes)
     cached = group._longest.get(chosen)
     if cached is not None:
         return cached
-    x = group.identity
-    while True:
-        for node in chosen:
-            if not x.has_right_descent(node):
-                x = x.mul_simple_right(node)
-                break
-        else:
-            group._longest[chosen] = x
-            return x
+    nu = [-1] * len(group.diagram.nodes)
+    trace = group._strip(nu, [group._node_index[node] for node in chosen])
+    x = group._longest[chosen] = _element(group, tuple(-m for m in nu), len(trace))
+    return x
 
 
 def min_rep(w: AffineWeylElement, nodes: Iterable[int]) -> AffineWeylElement:
-    """Minimal representative of the coset w W_nodes (right descent stripping)."""
+    """Minimal representative of the coset w W_nodes: a copy of mu stripped over
+    the nodes, carrying l(w) less the letters stripped; w itself if none is."""
     chosen = tuple(sorted(set(nodes)))
-    diagram = w.group.diagram
+    group = w.group
+    diagram = group.diagram
     if not set(chosen) <= set(diagram.nodes) or len(chosen) >= len(diagram.nodes):
         raise ValueError(f"nodes {chosen} must form a proper subset of the diagram")
-    x = w
-    while True:
-        for node in chosen:
-            if x.has_right_descent(node):
-                x = x.mul_simple_right(node)
-                break
-        else:
-            return x
+    mu = list(w.mu)
+    trace = group._strip(mu, [group._node_index[node] for node in chosen])
+    if not trace:
+        return w
+    return _element(group, tuple(mu), None if w._len is None else w._len - len(trace))
 
 
 def bruhat_leq(u: AffineWeylElement, w: AffineWeylElement) -> bool:

@@ -6,6 +6,8 @@ root signs by coefficient signs, coroot coordinates and translation parts
 by an exact Gaussian elimination,
 "is w a translation?" by a test on the columns of its matrix, and the
 right product w s_i by applying w to each reflected simple root.
+``chain_longest_element`` and ``chain_min_rep`` walk a chain of elements,
+one right product per descent test, where the library strips a copy of mu.
 ``ColumnMatrix`` models a whole element as the matrix of its action, built
 from letters the test chooses, so it never reads the element it checks.
 """
@@ -48,6 +50,34 @@ def right_simple_product(diagram: DynkinDiagram, cols: Sequence[Vector], length:
         out.append(tuple(col))
     descent = is_negative_vec(cols[diagram.index(node)])
     return tuple(out), length - 1 if descent else length + 1
+
+
+def chain_longest_element(group, nodes):
+    """w_J from the identity: multiply on the right by the first node of J that
+    is not a right descent until every node of J is one."""
+    chosen = sorted(set(nodes))
+    x = group.identity
+    while True:
+        for node in chosen:
+            if not x.has_right_descent(node):
+                x = x.mul_simple_right(node)
+                break
+        else:
+            return x
+
+
+def chain_min_rep(w, nodes):
+    """The minimal representative of w W_J: multiply on the right by the first
+    node of J that is a right descent until none is."""
+    chosen = sorted(set(nodes))
+    x = w
+    while True:
+        for node in chosen:
+            if x.has_right_descent(node):
+                x = x.mul_simple_right(node)
+                break
+        else:
+            return x
 
 
 def is_positive_vec(vec: Sequence[int]) -> bool:

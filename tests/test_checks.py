@@ -253,14 +253,44 @@ print(sum(letters))
 """
 
 
-def stripped_letters(suite: str) -> int:
-    """Letters of reduced words freshly stripped by run_suite(suite, 5) in a fresh
-    interpreter."""
+BUILT_ELEMENTS = """
+from cograss import detvar, weyl
+real = weyl._element
+built = []
+
+def counting(*args):
+    built.append(None)
+    return real(*args)
+
+weyl._element = counting
+for n in range(4, 10):
+    for r in range(0, detvar.even_rank(n) + 1, 2):
+        detvar.fibre_rank(n, r)
+print(len(built))
+"""
+
+
+def _fresh_count(script: str, *args: str) -> int:
+    """The count a script prints in a fresh interpreter."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", STRIPPED_LETTERS, suite], capture_output=True,
+    run = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                          text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == 0, run.stderr[-2000:]
     return int(run.stdout)
+
+
+def stripped_letters(suite: str) -> int:
+    """Letters of reduced words freshly stripped by run_suite(suite, 5) in a fresh
+    interpreter."""
+    return _fresh_count(STRIPPED_LETTERS, suite)
+
+
+def test_fibre_rank_builds_at_most_800_elements():
+    """Op-count gate: in a fresh interpreter, fibre_rank(n, r) for n = 4..9 and
+    every even r builds at most 800 elements through weyl._element (531).
+    min_rep and longest_element strip a copy of mu and build one element per
+    answer; walking a chain of right products built 1,804."""
+    assert 0 < _fresh_count(BUILT_ELEMENTS) <= 800
 
 
 def test_main_result_strips_at_most_4000_letters():
@@ -616,15 +646,15 @@ def test_translation_identity_reads_q_back_with_asserts_stripped():
 
 CARRIED_LENGTH_OFF_BY_ONE = """
 from cograss import cli, weyl
-real = weyl.AffineWeylElement.mul_simple_right
+real = weyl.WeylGroup.from_word
 
-def off_by_one(self, node):
-    x = real(self, node)
-    if x._len is not None:
+def off_by_one(self, letters):
+    x = real(self, letters)
+    if x is not self.identity:
         x._len += 1
     return x
 
-weyl.AffineWeylElement.mul_simple_right = off_by_one
+weyl.WeylGroup.from_word = off_by_one
 raise SystemExit(cli.main(["conormal", "--type", "A", "--rank", "3", "--comin", "2",
                            "--w", "2", "--json"]))
 """

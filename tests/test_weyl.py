@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cograss import weyl
 from cograss.checks import cominuscule_pairs
 from cograss.cominuscule import build_context, cominuscule_nodes
 from cograss.rootsys import (
@@ -36,6 +37,8 @@ from cograss.weyl import (
 from oracles import (
     ColumnMatrix,
     acts_as_translation,
+    chain_longest_element,
+    chain_min_rep,
     coroot_coordinates,
     is_negative_vec,
     is_positive_vec,
@@ -464,6 +467,65 @@ def test_demazure_associative_and_length_vee_on_a3():
             assert additive == (ab == a * b)
             for c in elements[::5]:
                 assert demazure(ab, c) == demazure(a, demazure(b, c))
+
+
+# -- the strip on mu against the chain walks ------------------------------------------
+
+FINITE_TO_RANK_5 = ([("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
+                    + [("C", n) for n in range(2, 6)] + [("D", 4), ("D", 5), ("E", 6)])
+AFFINE_PROPER = [("A", 3), ("C", 3), ("D", 4)]
+
+
+def _node_subsets(nodes, proper):
+    return [sub for k in range(len(nodes) + (not proper))
+            for sub in itertools.combinations(nodes, k)]
+
+
+def test_longest_element_and_min_rep_strip_without_a_chain(monkeypatch):
+    """longest_element (every node subset of each finite diagram to rank 5 and
+    of E6, every proper subset of the affine A3, C3 and D4) and min_rep (every
+    element of W(A3), W(B3) and W(D4), with and without a carried length, over
+    every proper node subset) equal the chain walks, with no right product or
+    descent test and at most one element built per call; each carried length
+    is a freshly stripped one, and a length-less w gives a length-less answer."""
+    longest = []
+    for series, rank, affine in ([(s, r, False) for s, r in FINITE_TO_RANK_5]
+                                 + [(s, r, True) for s, r in AFFINE_PROPER]):
+        g = group_of(series, rank, affine)
+        g._longest.clear()
+        for nodes in _node_subsets(g.diagram.nodes, affine):
+            longest.append((g, nodes, chain_longest_element(g, nodes)))
+    reps = []
+    for series, rank in [("A", 3), ("B", 3), ("D", 4)]:
+        g = group_of(series, rank)
+        for w in weyl_elements(g, g.diagram.nodes):
+            for v in (w, _element(g, w.mu)):
+                for nodes in _node_subsets(g.diagram.nodes, True):
+                    reps.append((v, nodes, chain_min_rep(v, nodes)))
+
+    def refuse(*args):
+        raise AssertionError("the strip must not walk a chain of elements")
+
+    built = []
+
+    def counting(*args, _real=weyl._element):
+        built.append(None)
+        return _real(*args)
+
+    monkeypatch.setattr(AffineWeylElement, "mul_simple_right", refuse)
+    monkeypatch.setattr(AffineWeylElement, "has_right_descent", refuse)
+    monkeypatch.setattr(weyl, "_element", counting)
+    assert len(longest) == 355 and len(reps) == 2 * 3384
+    for g, nodes, expected in longest:
+        built.clear()
+        x = longest_element(g, nodes)
+        assert len(built) <= 1 and x == expected and x._len == expected._len, nodes
+        assert x._len == stripped_length(x)
+    for w, nodes, expected in reps:
+        built.clear()
+        x = min_rep(w, nodes)
+        assert len(built) <= 1 and x == expected and x._len == expected._len, (w, nodes)
+        assert x._len is None or x._len == stripped_length(x)
 
 
 # -- minimal representatives ---------------------------------------------------------

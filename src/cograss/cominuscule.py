@@ -8,13 +8,16 @@ swapping node 0 with node d, the longest elements of the three parabolic
 subgroups, the distinguished translation element of the affine Weyl
 group, the cotangent roots Phi+ minus Phi+_levi (the roots of T_eP(G/P)),
 and, built on first use, the coset sets W^P (indexing X(w) in G/P) and
-W_d^0 (holding the twisted duals), the dual cotangent roots Phi+_{aff Levi}
-minus Phi+_levi and their negation psi.  Both coset sets are cominuscule
-quotients, ordered by containment of inversion sets: W^P on the cotangent
-roots and W_d^0 on the dual ones (Proctor, Europ. J. Combin. 5, 1984;
-Stembridge, J. Algebraic Combin. 5, 1996), and ``weyl.enumerate_min_reps``
-grows both with no product, each cover subtracting one of those roots from
-mu.  The context owns ``conormal``'s per-element memos, so they die with it.
+W_d^0 (holding the twisted duals), the affine-Levi roots Phi+_{aff Levi} =
+iota(Phi+) with their support masks (relabelled from the roots the build
+grew), the dual cotangent roots Phi+_{aff Levi} minus Phi+_levi (those of
+them involving alpha_0, iota of the cotangent roots) and their negation
+psi.  Both coset sets are cominuscule quotients, ordered by containment
+of inversion sets: W^P on the cotangent roots and W_d^0 on the dual ones
+(Proctor, Europ. J. Combin. 5, 1984; Stembridge, J. Algebraic Combin. 5,
+1996), and ``weyl.enumerate_min_reps`` grows both with no product, each
+cover subtracting one of those roots from mu.  The context owns
+``conormal``'s per-element memos, so they die with it.
 
 The build reads its data and solves nothing: the involution comes off w_levi(alpha_j)
 = -alpha_iota(j) on the Levi nodes, never from case tables (the type-D closed form is a
@@ -97,11 +100,21 @@ class CominusculeContext:
         return enumerate_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
 
     @functools.cached_property
+    def affine_levi_roots(self) -> dict[Vector, int]:
+        """Phi+_{aff Levi} as iota(Phi+), each root mapped to the bit mask of its
+        support.  iota carries the finite nodes onto the affine-Levi nodes, so this
+        relabels the roots the build grew and grows none; iota is an involution,
+        so (iota alpha)_k = alpha_iota(k)."""
+        image = (tuple(alpha[j] for j in self.involution)
+                 for alpha in positive_roots_of(self.group, self.finite_nodes))
+        return {beta: sum(1 << i for i, c in enumerate(beta) if c) for beta in image}
+
+    @functools.cached_property
     def dual_cotangent_roots(self) -> frozenset[Vector]:
-        """Phi+_{aff Levi} minus Phi+_levi: the affine-Levi roots off the Levi,
-        on which the elements of W_d^0 are read as inversion sets."""
-        return (positive_roots_of(self.group, self.affine_levi_nodes)
-                - positive_roots_of(self.group, self.levi_nodes))
+        """Phi+_{aff Levi} minus Phi+_levi, which is iota of the cotangent roots:
+        the affine-Levi roots involving alpha_0, on which the elements of W_d^0
+        are read as inversion sets."""
+        return frozenset(beta for beta in self.affine_levi_roots if beta[0])
 
     @functools.cached_property
     def shifted_cotangent_roots(self) -> frozenset[Vector]:

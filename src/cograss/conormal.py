@@ -9,9 +9,13 @@ affine Levi parabolic, where the shift alpha -> delta - alpha carries R(w)
 onto the inversions of v (``shift_check``), and the closure of the conormal
 variety inside the ambient affine Schubert variety is again a Schubert
 variety exactly when v satisfies the parabolic-longest-element smoothness
-criteria.  The fibre over the base point is indexed by the minimal
-representatives of the affine Levi below b = (w*v) minimised over the
-finite nodes.  That index set has a closed form: by the parabolic map
+criteria.  No root set is grown here: every affine-Levi root set that
+``shift_check``, the criteria and the full fibre read is cut out of the
+context's one table Phi+_{aff Levi} = iota(Phi+)
+(``CominusculeContext.affine_levi_roots``), by support mask or by the
+alpha_0 coordinate.  The fibre over the base point is indexed by the
+minimal representatives of the affine Levi below b = (w*v) minimised over
+the finite nodes.  That index set has a closed form: by the parabolic map
 (Billey-Fan-Losonczy, "The parabolic map", J. Algebra 214, 1999) the
 Demazure product m of the affine-Levi letters of a reduced word of b is the
 maximum of W_{affine Levi} below b, and since u <= x iff u <= x^J for u in
@@ -42,7 +46,6 @@ from .weyl import (
     demazure_fold,
     longest_element,
     min_rep,
-    positive_roots_of,
 )
 
 
@@ -52,7 +55,7 @@ class SmoothnessReport:
 
     c3: bool   # Demazure absorption: l((u^-1 * u) * w_levi) = l(u w_levi)
     c4: bool   # (u w_levi)^-1 sends every simple root of Supp(u) negative
-    c5: bool   # inversion set of u equals Phi+_{Supp(u)} minus Phi+_levi
+    c5: bool   # Inv(u) on Phi+_{Supp(u)} is Phi+_{Supp(u)} minus Phi+_levi (beta_0 > 0)
     c6: bool   # u is the minimal coset form w_L w_{L & levi} for L = Supp(u)
     support: tuple[int, ...]
     witness: tuple[AffineWeylElement, AffineWeylElement]
@@ -123,11 +126,17 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     report = _element_report(ctx, w)
     delta = ctx.delta()
     shifted = {tuple(m - a for a, m in zip(alpha, delta)) for alpha in report.roots}
-    return shifted == report.v.inversions(positive_roots_of(ctx.group, ctx.affine_levi_nodes))
+    return shifted == report.v.inversions(ctx.affine_levi_roots)
 
 
 def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport:
-    """Evaluate the four equivalent smoothness criteria independently."""
+    """Evaluate the four equivalent smoothness criteria independently.
+
+    c5 reads its root sets and grows none: Phi+_{Supp(u)} is the part of the
+    context's affine-Levi table (iota of Phi+) whose support mask lies in
+    Supp(u), as Phi_S = Phi cap ZS, and Phi+_{Supp(u)} minus Phi+_levi is its
+    part with beta_0 > 0, as every affine-Levi root off the Levi involves alpha_0.
+    """
     if u in ctx.smoothness_reports:
         return ctx.smoothness_reports[u]
     _require_min_rep(ctx, u, ctx.affine_levi_nodes, ctx.finite_nodes,
@@ -143,8 +152,9 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
     inv_uw = ctx.w_levi * u_inv  # (u w_levi)^-1, as w_levi is an involution
     c4 = all(inv_uw.has_right_descent(node) for node in supp)
 
-    supp_roots = positive_roots_of(ctx.group, supp)
-    c5 = u.inversions(supp_roots) == supp_roots - positive_roots_of(ctx.group, ctx.levi_nodes)
+    mask = sum(1 << i for i in supp)
+    supp_roots = [beta for beta, m in ctx.affine_levi_roots.items() if m & mask == m]
+    c5 = u.inversions(supp_roots) == {beta for beta in supp_roots if beta[0] > 0}
 
     return ctx.smoothness_reports.setdefault(u, SmoothnessReport(
         c3=c3, c4=c4, c5=c5, c6=c6, support=supp, witness=(w_supp, w_supp_levi)))

@@ -8,6 +8,8 @@ by an exact Gaussian elimination,
 right product w s_i by applying w to each reflected simple root.
 ``chain_longest_element`` and ``chain_min_rep`` walk a chain of elements,
 one right product per descent test, where the library strips a copy of mu.
+``grown_c5`` tests the c5 smoothness criterion on root sets grown for each
+support, where ``conormal.is_smooth`` reads them off one table by support mask.
 ``ColumnMatrix`` models a whole element as the matrix of its action, built
 from letters the test chooses, so it never reads the element it checks.
 """
@@ -15,7 +17,7 @@ from letters the test chooses, so it never reads the element it checks.
 from fractions import Fraction
 from typing import Sequence
 
-from cograss.rootsys import DynkinDiagram, Vector, build_diagram, solve_exact
+from cograss.rootsys import DynkinDiagram, Vector, build_diagram, positive_roots, solve_exact
 
 
 def reflect(diagram: DynkinDiagram, node: int, vec: Vector) -> Vector:
@@ -78,6 +80,13 @@ def chain_min_rep(w, nodes):
                 break
         else:
             return x
+
+
+def grown_c5(ctx, u) -> bool:
+    """c5 for u in W_d^0 on grown sets: the inversions of u among Phi+_{Supp(u)}
+    are Phi+_{Supp(u)} minus Phi+_levi, each set grown for its own node set."""
+    grown = positive_roots(ctx.affine_diagram, u.support())
+    return u.inversions(grown) == grown - positive_roots(ctx.affine_diagram, ctx.levi_nodes)
 
 
 def is_positive_vec(vec: Sequence[int]) -> bool:

@@ -293,6 +293,45 @@ def test_fibre_rank_builds_at_most_800_elements():
     assert 0 < _fresh_count(BUILT_ELEMENTS) <= 800
 
 
+GROWN_ROOT_SETS = """
+import contextlib, io, itertools
+from cograss import cli, cominuscule, detvar, rootsys
+queries = [("A", 4, 2), ("B", 4, 1), ("C", 4, 4), ("D", 5, 5), ("E", 6, 1)]
+contexts = [cominuscule.build_context("D", n, n) for n in range(4, 10)]
+contexts += [cominuscule.build_context(*query) for query in queries]
+assert not any("affine_levi_roots" in vars(ctx) for ctx in contexts)
+real = rootsys._grow_positive_roots
+grown = []
+
+def counting(diagram, nodes):
+    grown.append(nodes)
+    return real(diagram, nodes)
+
+rootsys._grow_positive_roots = counting
+for n in range(4, 10):
+    for r in range(0, detvar.even_rank(n) + 1, 2):
+        detvar.fibre_rank(n, r)
+for (series, rank, d), word in itertools.product(queries, ("", "{d}")):
+    with contextlib.redirect_stdout(io.StringIO()):  # e has a fibre, s_d is refused one
+        assert cli.main(["conormal", "--type", series, "--rank", str(rank), "--comin", str(d),
+                         "--w", word.format(d=d), "--fibre", "--json"]) == 0
+count = len(grown)
+rootsys.positive_roots(contexts[0].affine_diagram, (0, 2))  # the count is live
+assert len(grown) == count + 1
+print(count)
+"""
+
+
+def test_fibre_and_queries_grow_no_root_set():
+    """Op-count gate: with the contexts built (and no root table filled by the
+    build), fibre_rank(n, r) for n = 4..9 and every even r and two
+    conormal --fibre --json queries per series (w = e and w = s_d) grow no
+    positive-root set.  c5 reads Phi+_{Supp(u)} off the context's affine-Levi
+    table; growing it per support made 24 growths on the fibre sweep and 28 in
+    all."""
+    assert _fresh_count(GROWN_ROOT_SETS) == 0
+
+
 def test_main_result_strips_at_most_4000_letters():
     """Op-count gate: in a fresh interpreter, run_suite("main-result", 5) strips at
     most 4,000 letters of reduced words (3,775).  c3 and the length chain fold

@@ -125,11 +125,15 @@ def check_translation_identity(ctx: CominusculeContext) -> bool:
 
 
 def check_min_rep_sets(ctx: CominusculeContext) -> bool:
-    """w -> v(w) is a bijection W^P -> W_d^0, with l(wv) = l(w) + l(v) = dim G/P."""
+    """w -> v(w) is a bijection W^P -> W_d^0, with l(wv) = l(w) + l(v) = dim G/P.
+    The support in v's smoothness report, read off W_d^0's table, is the set of
+    letters of v's reduced word, which c3 has stripped."""
     duals = set()
     for w in ctx.min_reps:
         report = conormal.closure_is_schubert(ctx, w)  # raises unless v lies in W_d^0
         if not report.wv.length() == w.length() + report.v.length() == ctx.dim_quotient:
+            return False
+        if set(report.smooth.support) != report.v.support():
             return False
         duals.add(report.v)
     return len(duals) == len(ctx.min_reps) and duals == ctx.dual_min_reps
@@ -158,7 +162,7 @@ def check_shift_bijection(ctx: CominusculeContext) -> bool:
     """The delta-shift carries R(w) onto the affine-Levi inversions of v, and |R(w)| = l(v)."""
     for w in ctx.min_reps:
         report = conormal.closure_is_schubert(ctx, w)
-        if not (conormal.shift_check(ctx, w) and len(report.roots) == report.v.length()):
+        if not (conormal.shift_check(ctx, w) and report.root_bits.bit_count() == report.v.length()):
             return False
     return True
 

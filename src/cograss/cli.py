@@ -108,7 +108,7 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
     lines = [f"w  = {report.w.word_str() or 'e'}",
              f"v  = {report.v.word_str() or 'e'}",
              f"wv = {report.wv.word_str() or 'e'}",
-             f"|R| = {len(report.roots)}",
+             f"|R| = {report.root_bits.bit_count()}",
              f"dual element smooth: {report.smooth.smooth}",
              f"closure is Schubert: {report.closure_is_schubert}"]
     if want_fibre and report.fibre_max is None:

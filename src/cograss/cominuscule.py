@@ -15,9 +15,14 @@ them involving alpha_0, iota of the cotangent roots) and their negation
 psi.  Both coset sets are cominuscule quotients, ordered by containment
 of inversion sets: W^P on the cotangent roots and W_d^0 on the dual ones
 (Proctor, Europ. J. Combin. 5, 1984; Stembridge, J. Algebraic Combin. 5,
-1996), and ``weyl.enumerate_min_reps`` grows both with no product, each
-cover subtracting one of those roots from mu.  The context owns
-``conormal``'s per-element memos, so they die with it.
+1996), and ``weyl.coset_masks`` grows both with no product, each cover
+subtracting one of those roots from mu.  Each set is one table, element ->
+(inversion mask, support mask), with its root order: the sorted cotangent
+roots (``cotangent_order``) for W^P and the sorted dual cotangent roots
+(``dual_cotangent_supports``) for W_d^0.  ``min_reps`` and
+``dual_min_reps`` are the tables' keys, and ``grown_masks`` reads a table
+only once it is grown.  The context owns ``conormal``'s per-element memos,
+so they die with it.
 
 The build reads its data and solves nothing: the involution comes off w_levi(alpha_j)
 = -alpha_iota(j) on the Levi nodes, never from case tables (the type-D closed form is a
@@ -31,15 +36,17 @@ the highest roots with the root searches and with w_levi(alpha_d), w_levi(alpha_
 from __future__ import annotations
 
 import functools
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from operator import mul
+from typing import Optional
 
 from .rootsys import DynkinDiagram, Vector, build_diagram, is_root, require
 from .weyl import (
     AffineWeylElement,
     WeylGroup,
-    enumerate_min_reps,
+    coset_masks,
     longest_element,
     positive_roots_of,
 )
@@ -88,16 +95,48 @@ class CominusculeContext:
         return w.relabel(self.involution)
 
     @functools.cached_property
-    def min_reps(self) -> frozenset[AffineWeylElement]:
-        """W^P: minimal representatives of the finite Weyl group over the Levi,
-        grown one cotangent root per cover."""
-        return enumerate_min_reps(self.group, self.finite_nodes, self.levi_nodes)
+    def min_rep_masks(self) -> dict[AffineWeylElement, tuple[int, int]]:
+        """W^P, minimal representatives of the finite Weyl group over the Levi, grown
+        one cotangent root per cover; each element maps to its inversion mask over
+        ``cotangent_order`` and its support mask (``weyl.coset_masks``)."""
+        return coset_masks(self.group, self.finite_nodes, self.levi_nodes)
 
     @functools.cached_property
-    def dual_min_reps(self) -> frozenset[AffineWeylElement]:
-        """W_d^0: minimal representatives of the affine Levi over the finite nodes,
-        grown one dual cotangent root per cover."""
-        return enumerate_min_reps(self.group, self.affine_levi_nodes, self.finite_nodes)
+    def dual_min_rep_masks(self) -> dict[AffineWeylElement, tuple[int, int]]:
+        """W_d^0, minimal representatives of the affine Levi over the finite nodes,
+        grown one dual cotangent root per cover; each element maps to its inversion
+        mask over ``dual_cotangent_supports`` and its support mask."""
+        return coset_masks(self.group, self.affine_levi_nodes, self.finite_nodes)
+
+    @property
+    def min_reps(self) -> KeysView[AffineWeylElement]:
+        """W^P, read off its table."""
+        return self.min_rep_masks.keys()
+
+    @property
+    def dual_min_reps(self) -> KeysView[AffineWeylElement]:
+        """W_d^0, read off its table."""
+        return self.dual_min_rep_masks.keys()
+
+    def grown_masks(self, u: AffineWeylElement,
+                    dual: bool) -> Optional[tuple[int, int]]:
+        """u's masks if W_d^0 (``dual``) or W^P is already grown and holds u; grows
+        nothing.  The tables are keyed by element, so an element of another group
+        is never found."""
+        table = vars(self).get("dual_min_rep_masks" if dual else "min_rep_masks")
+        return None if table is None else table.get(u)
+
+    @functools.cached_property
+    def cotangent_order(self) -> tuple[Vector, ...]:
+        """The cotangent roots sorted, the grower's order: bit k of a W^P inversion
+        mask, and of R(w), is the k-th root."""
+        return tuple(sorted(self.cotangent_roots))
+
+    @functools.cached_property
+    def delta_shifts(self) -> tuple[Vector, ...]:
+        """delta - alpha for each alpha of ``cotangent_order``, in that order."""
+        delta = self.delta()
+        return tuple(tuple(m - a for a, m in zip(alpha, delta)) for alpha in self.cotangent_order)
 
     @functools.cached_property
     def affine_levi_roots(self) -> dict[Vector, int]:
@@ -110,11 +149,18 @@ class CominusculeContext:
         return {beta: sum(1 << i for i, c in enumerate(beta) if c) for beta in image}
 
     @functools.cached_property
+    def dual_cotangent_supports(self) -> dict[Vector, int]:
+        """Phi+_{aff Levi} minus Phi+_levi, sorted, each root mapped to its support
+        mask: the affine-Levi roots involving alpha_0, which are iota of the
+        cotangent roots.  The order is the grower's: bit k of a W_d^0 inversion
+        mask is the k-th root."""
+        return dict(sorted((beta, m) for beta, m in self.affine_levi_roots.items() if beta[0]))
+
+    @functools.cached_property
     def dual_cotangent_roots(self) -> frozenset[Vector]:
-        """Phi+_{aff Levi} minus Phi+_levi, which is iota of the cotangent roots:
-        the affine-Levi roots involving alpha_0, on which the elements of W_d^0
-        are read as inversion sets."""
-        return frozenset(beta for beta in self.affine_levi_roots if beta[0])
+        """The dual cotangent roots as a set, on which the elements of W_d^0 are
+        read as inversion sets."""
+        return frozenset(self.dual_cotangent_supports)
 
     @functools.cached_property
     def shifted_cotangent_roots(self) -> frozenset[Vector]:

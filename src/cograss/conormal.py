@@ -1,19 +1,27 @@
 """Conormal combinatorics of Schubert varieties in a cominuscule context.
 
-Every root-sign question here is one ``inversions`` call, the sign read of
-``weyl``.  For a minimal representative w in the finite Weyl group, the
-conormal direction set R(w) is the cotangent roots Phi+ minus Phi+_levi
-(``CominusculeContext.cotangent_roots``) less the inversions of w.  Its
-twisted dual v (the diagram involution applied to w0*w*w_levi) lives in the
-affine Levi parabolic, where the shift alpha -> delta - alpha carries R(w)
-onto the inversions of v (``shift_check``), and the closure of the conormal
+Root sets are bit masks over a fixed root order: bit k of a W^P mask is the
+k-th cotangent root of ``CominusculeContext.cotangent_order`` (sorted Phi+
+minus Phi+_levi), and bit k of a W_d^0 mask the k-th dual cotangent root of
+``dual_cotangent_supports``.  An element of a grown coset set reads its
+inversion and support masks off the context's table, and membership in the
+table is its validation; any other element (a query, a detvar label, an
+element read before its set is grown) is validated once and read by sign
+(``weyl``'s ``inversion_mask``) into the same int.  For a minimal
+representative w in the finite Weyl group, the conormal direction set R(w)
+is the cotangent roots less the inversions of w, stored as that mask's
+complement and decoded, in sorted order, on read.  Its twisted dual v (the
+diagram involution applied to w0*w*w_levi) lives in the affine Levi
+parabolic, where the shift alpha -> delta - alpha carries R(w) onto the
+inversions of v (``shift_check``, which shifts R(w)'s bits through the
+context's ``delta_shifts`` and compares them with v's sign read over
+Phi+_{aff Levi}, never with v's mask), and the closure of the conormal
 variety inside the ambient affine Schubert variety is again a Schubert
 variety exactly when v satisfies the parabolic-longest-element smoothness
-criteria.  No root set is grown here: every affine-Levi root set that
-``shift_check``, the criteria and the full fibre read is cut out of the
-context's one table Phi+_{aff Levi} = iota(Phi+)
-(``CominusculeContext.affine_levi_roots``), by support mask or by the
-alpha_0 coordinate.  The fibre over the base point is indexed by the
+criteria.  No root set is grown here: ``shift_check`` reads Phi+_{aff Levi}
+off the context's table iota(Phi+) (``CominusculeContext.affine_levi_roots``),
+and c5 compares v's mask with the dual cotangent roots whose support mask
+lies in Supp(v).  The fibre over the base point is indexed by the
 minimal representatives of the affine Levi below b = (w*v) minimised over
 the finite nodes.  That index set has a closed form: by the parabolic map
 (Billey-Fan-Losonczy, "The parabolic map", J. Algebra 214, 1999) the
@@ -24,7 +32,8 @@ index set is the interval of W_d^0 below m minimised over the finite nodes,
 which is its unique maximum.  W_d^0 is a cominuscule quotient, so
 that interval is the set of u whose inversions among the dual cotangent
 roots Phi+_{aff Levi} minus Phi+_levi lie in those of its maximum (Proctor,
-Europ. J. Combin. 5, 1984; Stembridge, J. Algebraic Combin. 5, 1996).
+Europ. J. Combin. 5, 1984; Stembridge, J. Algebraic Combin. 5, 1996): the u
+of W_d^0's table whose mask has no bit outside the maximum's.
 
 Per-element data is derived once, in ``_element_report``, memoised per
 (context, w) on the context, as the smoothness report is per (context, u).
@@ -34,8 +43,8 @@ reports are frozen dataclasses with a stable JSON rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Optional
 
 from . import rootsys
 from .cominuscule import CominusculeContext
@@ -70,11 +79,25 @@ class ConormalReport:
     w: AffineWeylElement
     v: AffineWeylElement
     wv: AffineWeylElement
-    roots: frozenset[Vector]
+    root_bits: int   # R(w): bit k set iff the k-th root of root_order lies in it
+    root_order: tuple[Vector, ...] = field(repr=False)  # the context's cotangent_order
     smooth: SmoothnessReport
     closure_is_schubert: bool
     fibre_max: Optional[frozenset[AffineWeylElement]] = None
     fibre_all: Optional[frozenset[AffineWeylElement]] = None
+
+    @property
+    def roots(self) -> frozenset[Vector]:
+        """R(w), decoded from its bits."""
+        return frozenset(_decode(self.root_order, self.root_bits))
+
+
+def _decode(order: tuple[Vector, ...], bits: int) -> Iterator[Vector]:
+    """The roots whose bits are set, in the order's order."""
+    while bits:
+        low = bits & -bits
+        yield order[low.bit_length() - 1]
+        bits ^= low
 
 
 def _require_min_rep(ctx: CominusculeContext, u: AffineWeylElement, span: tuple[int, ...],
@@ -91,18 +114,27 @@ def _require_min_rep(ctx: CominusculeContext, u: AffineWeylElement, span: tuple[
 
 
 def _element_report(ctx: CominusculeContext, w: AffineWeylElement) -> ConormalReport:
-    """The report on w and its twisted dual v without a fibre; w is validated once."""
+    """The report on w and its twisted dual v without a fibre.  A w of the grown
+    W^P is read off its table, and its v off W_d^0's, grown with it; any other w
+    is validated once and its inversions read by sign."""
     if w in ctx.element_reports:
         return ctx.element_reports[w]
-    _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
+    masks = ctx.grown_masks(w, dual=False)
+    if masks is None:
+        _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
+        inv = w.inversion_mask(ctx.cotangent_order)
+    else:
+        inv = masks[0]
     v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
-    picked = ctx.cotangent_roots - w.inversions(ctx.cotangent_roots)
+    rootsys.require(masks is None or v in ctx.dual_min_reps, "twisted dual is not in W_d^0")
     try:  # v is derived, so a v outside W_d^0 is a bug
         smooth = is_smooth(ctx, v)
     except ValueError as exc:
         raise rootsys.InvariantError(f"twisted dual: {exc}") from exc
+    full = (1 << len(ctx.cotangent_order)) - 1
     return ctx.element_reports.setdefault(w, ConormalReport(
-        w=w, v=v, wv=w * v, roots=picked, smooth=smooth, closure_is_schubert=smooth.c3))
+        w=w, v=v, wv=w * v, root_bits=full & ~inv, root_order=ctx.cotangent_order,
+        smooth=smooth, closure_is_schubert=smooth.c3))
 
 
 def conormal_roots(ctx: CominusculeContext, w: AffineWeylElement) -> frozenset[Vector]:
@@ -124,24 +156,32 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     once v is substituted; ``checks.check_shift_root_bijection`` checks it per context.
     """
     report = _element_report(ctx, w)
-    delta = ctx.delta()
-    shifted = {tuple(m - a for a, m in zip(alpha, delta)) for alpha in report.roots}
+    shifted = set(_decode(ctx.delta_shifts, report.root_bits))
     return shifted == report.v.inversions(ctx.affine_levi_roots)
 
 
 def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport:
     """Evaluate the four equivalent smoothness criteria independently.
 
-    c5 reads its root sets and grows none: Phi+_{Supp(u)} is the part of the
-    context's affine-Levi table (iota of Phi+) whose support mask lies in
-    Supp(u), as Phi_S = Phi cap ZS, and Phi+_{Supp(u)} minus Phi+_levi is its
-    part with beta_0 > 0, as every affine-Levi root off the Levi involves alpha_0.
+    c5 reads u's inversion mask over the dual cotangent roots: off the table of
+    the grown W_d^0, or by sign for any other u, which is validated once.  As u
+    lies in W_{Supp(u)} and in W^{finite}, it inverts only roots of
+    Phi+_{Supp(u)} and no Levi root, so c5, Inv(u) on Phi+_{Supp(u)} equal to
+    Phi+_{Supp(u)} minus Phi+_levi, holds iff that mask has exactly the bits of
+    the dual cotangent roots whose support lies in Supp(u).
     """
     if u in ctx.smoothness_reports:
         return ctx.smoothness_reports[u]
-    _require_min_rep(ctx, u, ctx.affine_levi_nodes, ctx.finite_nodes,
-                     "affine Levi parabolic")
-    supp = tuple(sorted(u.support()))
+    duals = ctx.dual_cotangent_supports
+    masks = ctx.grown_masks(u, dual=True)
+    if masks is None:
+        _require_min_rep(ctx, u, ctx.affine_levi_nodes, ctx.finite_nodes,
+                         "affine Levi parabolic")
+        supp = tuple(sorted(u.support()))
+        inv, mask = u.inversion_mask(duals), sum(1 << i for i in supp)
+    else:
+        inv, mask = masks
+        supp = tuple(i for i in ctx.affine_levi_nodes if mask >> i & 1)
     w_supp = longest_element(ctx.group, supp)
     w_supp_levi = longest_element(ctx.group, set(supp) & set(ctx.levi_nodes))
     c6 = u == w_supp * w_supp_levi
@@ -152,9 +192,7 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
     inv_uw = ctx.w_levi * u_inv  # (u w_levi)^-1, as w_levi is an involution
     c4 = all(inv_uw.has_right_descent(node) for node in supp)
 
-    mask = sum(1 << i for i in supp)
-    supp_roots = [beta for beta, m in ctx.affine_levi_roots.items() if m & mask == m]
-    c5 = u.inversions(supp_roots) == {beta for beta in supp_roots if beta[0] > 0}
+    c5 = inv == sum(1 << k for k, m in enumerate(duals.values()) if m & mask == m)
 
     return ctx.smoothness_reports.setdefault(u, SmoothnessReport(
         c3=c3, c4=c4, c5=c5, c6=c6, support=supp, witness=(w_supp, w_supp_levi)))
@@ -173,8 +211,8 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
     ``full_fibre`` (which implies ``with_fibre``) adds the interval of the
     context's W_d^0 below that maximum.  W_d^0 is a cominuscule quotient, so
     u lies below the maximum iff its inversions among the dual cotangent
-    roots lie in the maximum's (Proctor 1984; Stembridge 1996): u inverts no
-    dual cotangent root that the maximum keeps positive.
+    roots lie in the maximum's (Proctor 1984; Stembridge 1996): u's mask has
+    no bit outside the maximum's.
     """
     report = _element_report(ctx, w)
     if not ((with_fibre or full_fibre) and report.closure_is_schubert):
@@ -182,8 +220,10 @@ def closure_is_schubert(ctx: CominusculeContext, w: AffineWeylElement,
     top = _fibre_top(ctx, report.wv)
     fibre_all = None
     if full_fibre:
-        kept = ctx.dual_cotangent_roots - top.inversions(ctx.dual_cotangent_roots)
-        fibre_all = frozenset(u for u in ctx.dual_min_reps if not u.inversions(kept))
+        table = ctx.dual_min_rep_masks
+        rootsys.require(top in table, "fibre maximum is not in W_d^0")
+        top_inv = table[top][0]
+        fibre_all = frozenset(u for u, (inv, _) in table.items() if not inv & ~top_inv)
     return replace(report, fibre_max=frozenset({top}), fibre_all=fibre_all)
 
 
@@ -271,7 +311,7 @@ def report_to_dict(ctx: CominusculeContext, report: ConormalReport) -> dict:
         "w_word": report.w.word_str(),
         "v_word": report.v.word_str(),
         "wv_word": report.wv.word_str(),
-        "R": sorted(list(vec) for vec in report.roots),
+        "R": [list(vec) for vec in _decode(report.root_order, report.root_bits)],
         "smooth": {
             "c3": report.smooth.c3,
             "c4": report.smooth.c4,

@@ -92,13 +92,21 @@ and stays in W^J because beta is not in Phi_J (Deodhar's lemma, Invent. Math.
 subtraction of beta in weight coordinates.  Conversely, a left descent s_i
 of v in W_S intersect W^J gives u = s_i v in the set and beta = u^{-1}(alpha_i)
 in Lambda, so the covers of u are the mu(u) - beta with <mu(u), beta^vee> = 1,
-and no product is made.
+and no product is made.  The pairings (beta|mu(u)) = sum_k beta_k d_k mu_k
+over Lambda ride along the frontier: a cover by beta' subtracts the row
+((beta|beta'))_beta, read once, so no element pairs mu with every root.  The
+cover also hands each element its masks (``coset_masks``).  N(s_i u) =
+N(u) + {beta}, and N(u) lies in Lambda for u in W^J, so the inversion mask over
+sorted Lambda gains beta's bit; beta = u^{-1}(alpha_i) is alpha_i plus roots
+of Supp(u), so Supp(s_i u) = Supp(u) + {i} = Supp(u) | supp(beta), and Supp(u)
+is the union of the supports of N(u).
 """
 
 from __future__ import annotations
 
 import functools
-from operator import mul, sub
+from itertools import compress
+from operator import eq, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .rootsys import (
@@ -250,6 +258,12 @@ class AffineWeylElement:
         """
         weights = tuple(map(mul, self.group.diagram.symmetrizer, self.mu))
         return frozenset(alpha for alpha in roots if sum(map(mul, alpha, weights)) < 0)
+
+    def inversion_mask(self, roots: Iterable[Vector]) -> int:
+        """The same sign read over an ordered list of roots, as one int: bit k is
+        set iff the k-th root is sent negative."""
+        weights = tuple(map(mul, self.group.diagram.symmetrizer, self.mu))
+        return sum(1 << k for k, alpha in enumerate(roots) if sum(map(mul, alpha, weights)) < 0)
 
     def first_right_descent(self) -> Optional[int]:
         for node, m in zip(self.group.diagram.nodes, self.mu):
@@ -598,13 +612,17 @@ def demazure(u: AffineWeylElement, w: AffineWeylElement) -> AffineWeylElement:
     return demazure_fold(u, w.reduced_word())
 
 
-def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
-                       quotient_nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
-    """W_span intersect W^quotient, grown one length at a time from mu alone.
+def coset_masks(group: WeylGroup, span_nodes: Iterable[int],
+                quotient_nodes: Iterable[int]) -> dict[AffineWeylElement, tuple[int, int]]:
+    """W_span intersect W^quotient, grown one length at a time from mu alone, each
+    element u mapped to (inversion mask, support mask).
 
-    The covers of u are mu(u) - beta for each root beta of Lambda = Phi+_span
-    minus Phi+_{span & quotient} with <mu(u), beta^vee> = 1, each carrying
-    l(u) + 1 (module docstring); beta's weight vector is read once.
+    Bit k of the inversion mask is the k-th root of sorted Lambda = Phi+_span
+    minus Phi+_{span & quotient}, set iff u inverts it; bit j of the support mask
+    is position j of the diagram, set iff s_j is a letter of u.  A cover by beta
+    adds beta to both (module docstring).  Each frontier element carries its
+    pairings (beta|mu(u)) over Lambda; a cover by beta' subtracts the row
+    ((beta|beta'))_beta, and the covers are the beta paired to (beta|beta)/2.
     Cardinality is checked against |W_span| / |W_{span & quotient}|.
     """
     diagram = group.diagram
@@ -613,30 +631,39 @@ def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
     if not quo <= set(diagram.nodes):
         raise ValueError(f"nodes {tuple(sorted(quo))} are not nodes of the diagram")
     both = tuple(node for node in span if node in quo)
-    steps = []
-    for beta in sorted(positive_roots(diagram, span) - positive_roots(diagram, both)):
-        weight = tuple(sum(c * beta[k] for k, c in row) for row in group._cartan_row)
-        # (x|beta) = sum_k beta_k d_k <x, alpha_k^vee>, so <mu, beta^vee> = 1 iff
-        # sum_k beta_k d_k mu_k = (beta|beta)/2
-        scaled = tuple(map(mul, beta, diagram.symmetrizer))
-        steps.append((weight, scaled, sum(map(mul, scaled, weight)) // 2))
-    reps = {group.identity.mu: group.identity}  # mu -> element
-    frontier = [group.identity]
+    roots = sorted(positive_roots(diagram, span) - positive_roots(diagram, both))
+    weights = [tuple(sum(c * beta[k] for k, c in row) for row in group._cartan_row)
+               for beta in roots]
+    # (x|beta) = sum_k beta_k d_k <x, alpha_k^vee>, so <mu, beta^vee> = 1 iff
+    # sum_k beta_k d_k mu_k = (beta|beta)/2
+    scaled = [tuple(map(mul, beta, diagram.symmetrizer)) for beta in roots]
+    rows = [tuple(sum(map(mul, s, weight)) for s in scaled) for weight in weights]
+    halves = [row[k] // 2 for k, row in enumerate(rows)]
+    supports = [sum(1 << j for j, c in enumerate(beta) if c) for beta in roots]
+    positions = range(len(roots))
+    table = {group.identity: (0, 0)}
+    frontier = [(group.identity, tuple(map(sum, scaled)))]  # mu(e) = rho: all ones
     while frontier:
         fresh = []
-        for u in frontier:
+        for u, pairings in frontier:
+            inv, supp = table[u]
             mu, length = u.mu, u._len + 1
-            for weight, scaled, half in steps:
-                if sum(map(mul, scaled, mu)) == half:
-                    cover = tuple(map(sub, mu, weight))
-                    if cover not in reps:
-                        reps[cover] = x = _element(group, cover, length)
-                        fresh.append(x)
+            for k in compress(positions, map(eq, pairings, halves)):
+                x = _element(group, tuple(map(sub, mu, weights[k])), length)
+                if x not in table:
+                    table[x] = (inv | 1 << k, supp | supports[k])
+                    fresh.append((x, tuple(map(sub, pairings, rows[k]))))
         frontier = fresh
     expected, order_both = weyl_order(diagram, span), weyl_order(diagram, both)
-    if expected % order_both or len(reps) != expected // order_both:
+    if expected % order_both or len(table) != expected // order_both:
         raise InvariantError("minimal representative count does not match the index")
-    return frozenset(reps.values())
+    return table
+
+
+def enumerate_min_reps(group: WeylGroup, span_nodes: Iterable[int],
+                       quotient_nodes: Iterable[int]) -> frozenset[AffineWeylElement]:
+    """W_span intersect W^quotient: the elements ``coset_masks`` grows."""
+    return frozenset(coset_masks(group, span_nodes, quotient_nodes))
 
 
 def weyl_elements(group: WeylGroup, nodes: Iterable[int]) -> frozenset[AffineWeylElement]:

@@ -236,3 +236,31 @@ class ColumnMatrix:
                       for col in self.cols[1:])
         finite = build_diagram(diagram.series, diagram.rank)
         return ucols, coroot_coordinates(finite, [-col[0] for col in self.cols[1:]])
+
+
+def dot_product_min_reps(group, span, quotient) -> frozenset:
+    """W_span intersect W^quotient by the cover test on every root at every element:
+    the covers of u are mu(u) - beta for each beta in Lambda = Phi+_span minus
+    Phi+_{span & quotient} with sum_k beta_k d_k mu_k = (beta|beta)/2, each pairing
+    a dot product of its own."""
+    diagram = group.diagram
+    d, cartan = diagram.symmetrizer, diagram.cartan
+    both = [node for node in span if node in set(quotient)]
+    steps = []
+    for beta in sorted(positive_roots(diagram, span) - positive_roots(diagram, both)):
+        weight = tuple(sum(c * b for c, b in zip(row, beta)) for row in cartan)
+        scaled = tuple(b * dk for b, dk in zip(beta, d))
+        steps.append((weight, scaled, sum(s * x for s, x in zip(scaled, weight)) // 2))
+    rho = (1,) * len(diagram.nodes)
+    seen, frontier = {rho}, [rho]
+    while frontier:
+        fresh = []
+        for mu in frontier:
+            for weight, scaled, half in steps:
+                if sum(s * m for s, m in zip(scaled, mu)) == half:
+                    cover = tuple(m - x for m, x in zip(mu, weight))
+                    if cover not in seen:
+                        seen.add(cover)
+                        fresh.append(cover)
+        frontier = fresh
+    return frozenset(group.from_mu(mu) for mu in seen)

@@ -176,8 +176,9 @@ def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
     """Op-count gate: W^P and W_d^0 are grown once each, on contexts built
     fresh; check_min_rep_sets reads both off the context.  checks is patched
     too, though it does not import the grower, so a re-import is counted;
-    the oracles suite's weyl_elements calls run on finite groups and are not."""
-    real = weyl.enumerate_min_reps
+    the oracles suite's weyl_elements calls run on finite groups and are not.
+    The grower is coset_masks, which enumerate_min_reps also calls."""
+    real = weyl.coset_masks
     calls = []
 
     def counting(group, *args, **kwargs):
@@ -185,7 +186,7 @@ def test_coset_sets_are_enumerated_at_most_twice_per_context(monkeypatch):
         return real(group, *args, **kwargs)
 
     for module in (weyl, cominuscule, checks):
-        monkeypatch.setattr(module, "enumerate_min_reps", counting, raising=False)
+        monkeypatch.setattr(module, "coset_masks", counting, raising=False)
     fresh = functools.lru_cache(maxsize=None)(cominuscule.build_context.__wrapped__)
     monkeypatch.setattr(checks, "build_context", fresh)
     assert run_suite("all", 5).all_pass
@@ -366,21 +367,59 @@ def test_oracles_call_demazure_at_most_twice_per_pair_of_elements(monkeypatch):
 
 
 def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_contexts):
-    """Op-count gate: a full sweep on fresh contexts validates each w in W^P
-    and each u in W_d^0 once, however many checks read its conormal data."""
+    """Op-count gate: a full sweep on fresh contexts validates no element of a
+    grown coset set, as membership in the grown set is the validation, and
+    each other element (fibre-det's, before involution-bij grows W^P) once per
+    side, however many checks read its conormal data.  Validating every
+    element once took 268 + 268 calls."""
     real = conormal._require_min_rep
-    finite_side = Counter()
+    validated = []
 
     def counting(ctx, u, span, quotient, name):
-        finite_side[span == ctx.finite_nodes] += 1
+        dual = span != ctx.finite_nodes
+        validated.append((id(ctx), u, dual))
+        assert ctx.grown_masks(u, dual) is None
         return real(ctx, u, span, quotient, name)
 
     monkeypatch.setattr(conormal, "_require_min_rep", counting)
-    assert run_suite("all", 5).all_pass
+    report = run_suite("all", 5)
+    assert report.all_pass
     contexts = [fresh_contexts(*pair) for pair in checks.cominuscule_pairs(5)]
     assert fresh_contexts.cache_info().currsize == len(contexts)
-    assert finite_side[True] == sum(len(ctx.min_reps) for ctx in contexts)
-    assert finite_side[False] == sum(len(ctx.dual_min_reps) for ctx in contexts)
+    assert len(validated) == len(set(validated))
+    fibre_det = sum(c.check_id == "fibre-det" for c in report.checks)
+    assert Counter(dual for _, _, dual in validated) == {False: fibre_det, True: fibre_det}
+
+
+def test_sweep_reads_each_dual_by_sign_once(monkeypatch, fresh_contexts):
+    """Op-count gate: a rank-5 sweep on fresh contexts of every suite but nilp
+    (which reads its root sets by sign on two fixed elements per admissible
+    root) makes at most one inversions call per W^P element, shift_check's
+    read of v, and one inversion_mask read per element it validates.  R(w),
+    c5 and the full fibre read the grown masks; reading them by sign made
+    three inversions calls per W^P element (804)."""
+    calls = Counter()
+    for name in ("inversions", "inversion_mask"):
+        def counting(self, roots, _real=getattr(weyl.AffineWeylElement, name), _name=name):
+            calls[_name] += 1
+            return _real(self, roots)
+
+        monkeypatch.setattr(weyl.AffineWeylElement, name, counting)
+    validated = []
+    real = conormal._require_min_rep
+
+    def recording(ctx, u, *args):
+        validated.append(u)
+        return real(ctx, u, *args)
+
+    monkeypatch.setattr(conormal, "_require_min_rep", recording)
+    for suite in sorted(checks.SUITES):
+        if suite != "nilp":
+            assert run_suite(suite, 5).all_pass, suite
+    contexts = [fresh_contexts(*pair) for pair in checks.cominuscule_pairs(5)]
+    assert fresh_contexts.cache_info().currsize == len(contexts)
+    assert 0 < calls["inversions"] <= sum(len(ctx.min_reps) for ctx in contexts)
+    assert calls["inversion_mask"] == len(validated) > 0
 
 
 def test_inverses_are_built_once_per_dual_element(monkeypatch, fresh_contexts):
@@ -731,3 +770,38 @@ def test_broken_invariant_exits_1_with_asserts_stripped(script, message):
     run = _run_with_asserts_stripped("-c", script)
     assert (run.returncode, run.stdout) == (1, ""), run.stderr[-2000:]
     assert run.stderr == f"invariant violated: {message}\n"
+
+
+MUTATED_COSET_MASK = """
+import sys
+from cograss import cli, cominuscule
+real = cominuscule.coset_masks
+side = sys.argv[1]
+
+def mutated(group, span, quotient):
+    table = real(group, span, quotient)
+    if (group.diagram.series, group.diagram.rank, tuple(quotient)) == ("A", 3, (1, 3)):
+        top = max(table, key=lambda u: table[u][0])  # W^P's top: every root inverted
+        inv, supp = table[top]
+        table[top] = (inv & (inv - 1), supp)  # its lowest bit dropped
+    if (group.diagram.series, group.diagram.rank, tuple(span)) == ("A", 3, (0, 1, 3)):
+        inv, supp = table[group.identity]
+        table[group.identity] = (inv ^ 1, supp)  # W_d^0's identity: bit 0 flipped
+    return table
+
+cominuscule.coset_masks = mutated
+raise SystemExit(cli.main(["verify", "--suite", side, "--max-rank", "4", "--json"]))
+"""
+
+
+@pytest.mark.parametrize("suite", ["involution-bij", "sb-equiv"])
+def test_a_wrong_coset_mask_fails_its_check_with_asserts_stripped(suite):
+    """The grown masks are checked by the sweep.  Under python -O, with one bit
+    of one A3 d=2 mask wrong, verify exits 1 and only one record fails: a bit
+    dropped from W^P's top element adds a root to R(w), which the delta-shift
+    no longer carries onto v's sign-read inversions (involution-bij); a bit
+    flipped on W_d^0's identity breaks c5 against c3, c4 and c6 (sb-equiv)."""
+    run = _run_with_asserts_stripped("-c", MUTATED_COSET_MASK, suite)
+    assert run.returncode == 1, run.stderr[-2000:]
+    failed = [[c["id"], c["params"]] for c in json.loads(run.stdout)["checks"] if not c["pass"]]
+    assert failed == [[suite, "A3 d=2"]]

@@ -28,7 +28,7 @@ from cograss.weyl import (
     positive_roots_of,
 )
 
-from oracles import grown_c5, is_negative_vec, is_positive_vec
+from oracles import dot_product_min_reps, grown_c5, is_negative_vec, is_positive_vec
 
 RANK4_PAIRS = list(cominuscule_pairs(4))
 
@@ -307,10 +307,10 @@ def test_alpha0_test_matches_support_definition(pair):
 
 
 def test_c5_on_the_root_table_matches_c5_on_grown_sets():
-    """is_smooth cuts Phi+_{Supp(u)} out of the affine-Levi root table by support
-    mask and reads Phi+_{Supp(u)} minus Phi+_levi off the alpha_0 coordinate;
-    the oracle grows both sets.  They agree on all 1,194 elements of W_d^0 to
-    rank 7 with E6 and E7, and c5 both holds and fails among them."""
+    """is_smooth reads c5 off u's inversion mask over the dual cotangent roots,
+    against the bits of the roots whose support lies in Supp(u); the oracle
+    grows Phi+_{Supp(u)} and Phi+_levi.  They agree on all 1,194 elements of
+    W_d^0 to rank 7 with E6 and E7, and c5 both holds and fails among them."""
     answers = Counter()
     for pair in cominuscule_pairs(7, True):
         ctx = build_context(*pair)
@@ -335,6 +335,70 @@ def test_affine_levi_root_table_is_the_grown_root_set(pair):
     levi = rootsys.positive_roots(ctx.affine_diagram, ctx.levi_nodes)
     assert ctx.dual_cotangent_roots == grown - levi
     assert ctx.dual_cotangent_roots == {ctx.iota_root(alpha) for alpha in ctx.cotangent_roots}
+
+
+@pytest.mark.parametrize("pair", list(cominuscule_pairs(8, True)), ids=lambda p: "%s%d d=%d" % p)
+def test_coset_masks_match_the_sign_read(pair):
+    """On both coset sets of every context to rank 8 with E6 and E7, the grown
+    set is the dot-product cover test's, each inversion mask is the sign read
+    over the context's root order and each support mask the letters of a
+    reduced word.  Every report's R(w) is the old sign-read set difference, and
+    every full fibre the old filter of W_d^0 by inversions on the roots the
+    maximum keeps positive."""
+    ctx = build_context(*pair)
+    for table, span, quotient, order in (
+            (ctx.min_rep_masks, ctx.finite_nodes, ctx.levi_nodes, ctx.cotangent_order),
+            (ctx.dual_min_rep_masks, ctx.affine_levi_nodes, ctx.finite_nodes,
+             tuple(ctx.dual_cotangent_supports))):
+        assert list(order) == sorted(order)
+        assert table.keys() == dot_product_min_reps(ctx.group, span, quotient)
+        for u, (inv, supp) in table.items():
+            assert u.inversions(order) == {beta for k, beta in enumerate(order) if inv >> k & 1}
+            assert u.support() == {i for i in ctx.affine_diagram.nodes if supp >> i & 1}
+    for w in ctx.min_reps:
+        report = conormal.closure_is_schubert(ctx, w, full_fibre=True)
+        assert report.roots == ctx.cotangent_roots - w.inversions(ctx.cotangent_roots)
+        if report.closure_is_schubert:
+            (top,) = report.fibre_max
+            kept = ctx.dual_cotangent_roots - top.inversions(ctx.dual_cotangent_roots)
+            assert report.fibre_all == {u for u in ctx.dual_min_reps if not u.inversions(kept)}
+
+
+@pytest.mark.parametrize("pair", RANK4_PAIRS + [("E", 6, 1), ("E", 7, 7)],
+                         ids=lambda p: "%s%d d=%d" % p)
+def test_untabled_elements_get_the_tabled_reports(pair):
+    """An element read before its coset set is grown is validated and read by
+    sign; it gets the same conormal and smoothness reports as the same element
+    read off the grown tables of a second context."""
+    cold = cominuscule.build_context.__wrapped__(*pair)
+    warm = cominuscule.build_context.__wrapped__(*pair)
+    assert warm.min_reps and warm.dual_min_reps
+    for w in enumerate_min_reps(cold.group, cold.finite_nodes, cold.levi_nodes):
+        report = conormal._element_report(cold, w)
+        assert "min_rep_masks" not in vars(cold) and "dual_min_rep_masks" not in vars(cold)
+        tabled = conormal._element_report(warm, w)
+        assert (report.root_bits, report.v, report.smooth) == \
+            (tabled.root_bits, tabled.v, tabled.smooth)
+    assert set(cold.element_reports) == warm.min_reps
+    assert set(cold.smoothness_reports) == warm.dual_min_reps
+
+
+def test_tables_refuse_an_element_of_another_group():
+    """The coset tables are keyed by element, and equality compares the group:
+    the identity of another affine group of the same size has the mu of this
+    context's identity, and is refused before and after the tables are grown."""
+    ctx = cominuscule.build_context.__wrapped__("A", 3, 2)
+    foreign = weyl.WeylGroup(rootsys.build_diagram("B", 3, affine=True)).identity
+    assert foreign.coroot_heights() == ctx.group.identity.coroot_heights()
+    assert hash(foreign) == hash(ctx.group.identity)
+    for grow in (False, True):
+        if grow:
+            assert foreign not in ctx.min_reps and foreign not in ctx.dual_min_reps
+            assert ctx.group.identity in ctx.min_reps
+        for query in (conormal.closure_is_schubert, conormal.is_smooth):
+            with pytest.raises(ValueError, match="does not live in this context's Weyl group"):
+                query(ctx, foreign)
+    assert foreign not in ctx.element_reports and foreign not in ctx.smoothness_reports
 
 
 @pytest.mark.parametrize("pair", ALPHA0_PAIRS, ids=lambda p: "%s%d d=%d" % p)

@@ -180,8 +180,8 @@ def test_fibre_path_never_enumerates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the fibre maximum must not enumerate")
 
-    monkeypatch.setattr(weyl, "enumerate_min_reps", refuse)
-    monkeypatch.setattr(cominuscule, "enumerate_min_reps", refuse)
+    monkeypatch.setattr(weyl, "coset_masks", refuse)
+    monkeypatch.setattr(cominuscule, "coset_masks", refuse)
     ctx = build_context("A", 3, 2)
     assert len(conormal.fibre_maximal(ctx, ctx.group.identity)) == 1
     assert detvar.fibre_rank(8, 2) == (6, detvar.skew_rank_element(8, 6))

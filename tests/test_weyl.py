@@ -12,6 +12,7 @@ from cograss import weyl
 from cograss.checks import cominuscule_pairs
 from cograss.cominuscule import build_context, cominuscule_nodes
 from cograss.rootsys import (
+    _RANK_BOUNDS,
     InvariantError,
     build_diagram,
     highest_root,
@@ -40,6 +41,7 @@ from oracles import (
     chain_longest_element,
     chain_min_rep,
     coroot_coordinates,
+    dot_product_min_reps,
     is_negative_vec,
     is_positive_vec,
     right_simple_product,
@@ -832,6 +834,29 @@ def test_enumeration_matches_min_rep_and_right_product_oracles(series, rank):
             for x in reps:
                 assert x._len is not None and x.length() == stripped_length(x)
         assert enumerate_min_reps(g, span, nodes) == frozenset({g.identity})
+
+
+FINITE_DIAGRAMS = [(series, rank) for series, low in _RANK_BOUNDS.items()
+                   for rank in range(low, 6)] + [("E", 6)]
+
+
+@pytest.mark.parametrize("series, rank", FINITE_DIAGRAMS)
+def test_coset_masks_match_the_dot_product_grower_and_the_sign_read(series, rank):
+    """On a finite diagram to rank 5 and E6, W^J grown with its pairings carried
+    is the set the dot-product cover test grows, for every proper node subset J
+    (of at least four nodes on E6, to keep the run short); each element's
+    inversion mask is its sign read over sorted Lambda and its support mask the
+    letters of a reduced word."""
+    g = group_of(series, rank)
+    nodes = g.diagram.nodes
+    for k in range(4 if series == "E" else 0, len(nodes)):
+        for quotient in itertools.combinations(nodes, k):
+            table = weyl.coset_masks(g, nodes, quotient)
+            assert table.keys() == dot_product_min_reps(g, nodes, quotient), quotient
+            order = sorted(positive_roots(g.diagram, nodes) - positive_roots(g.diagram, quotient))
+            for u, (inv, supp) in table.items():
+                assert u.inversions(order) == {b for j, b in enumerate(order) if inv >> j & 1}
+                assert u.support() == {node for j, node in enumerate(nodes) if supp >> j & 1}
 
 
 # -- the contexts' coset sets against the left-product oracle ------------------------------

@@ -130,7 +130,8 @@ def check_min_rep_sets(ctx: CominusculeContext) -> bool:
     letters of v's reduced word, which c3 has stripped."""
     duals = set()
     for w in ctx.min_reps:
-        report = conormal.closure_is_schubert(ctx, w)  # raises unless v lies in W_d^0
+        # raises unless v lies in W_d^0; a v missing from its table fails the last test
+        report = conormal.closure_is_schubert(ctx, w)
         if not report.wv.length() == w.length() + report.v.length() == ctx.dim_quotient:
             return False
         if set(report.smooth.support) != report.v.support():

@@ -20,9 +20,11 @@ subtracting one of those roots from mu.  Each set is one table, element ->
 (inversion mask, support mask), with its root order: the sorted cotangent
 roots (``cotangent_order``) for W^P and the sorted dual cotangent roots
 (``dual_cotangent_supports``) for W_d^0.  ``min_reps`` and
-``dual_min_reps`` are the tables' keys, and ``grown_masks`` reads a table
-only once it is grown.  The context owns ``conormal``'s per-element memos,
-so they die with it.
+``dual_min_reps`` are the tables' keys, and growing W^P grows W_d^0 with it.
+``masks`` owns coset membership: an element a grown table holds is read off
+it, as membership is the validation, and any other (a query, a detvar label)
+is validated once and read by sign into the same ints.  The context owns
+``conormal``'s per-element memos, so they die with it.
 
 The build reads its data and solves nothing: the involution comes off w_levi(alpha_j)
 = -alpha_iota(j) on the Levi nodes, never from case tables (the type-D closed form is a
@@ -40,7 +42,6 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import Optional
 
 from .rootsys import DynkinDiagram, Vector, build_diagram, is_root, require
 from .weyl import (
@@ -98,7 +99,9 @@ class CominusculeContext:
     def min_rep_masks(self) -> dict[AffineWeylElement, tuple[int, int]]:
         """W^P, minimal representatives of the finite Weyl group over the Levi, grown
         one cotangent root per cover; each element maps to its inversion mask over
-        ``cotangent_order`` and its support mask (``weyl.coset_masks``)."""
+        ``cotangent_order`` and its support mask (``weyl.coset_masks``).  W_d^0 is
+        grown with it, so the twisted dual of a tabled w is read off W_d^0's table."""
+        self.dual_min_rep_masks
         return coset_masks(self.group, self.finite_nodes, self.levi_nodes)
 
     @functools.cached_property
@@ -118,13 +121,16 @@ class CominusculeContext:
         """W_d^0, read off its table."""
         return self.dual_min_rep_masks.keys()
 
-    def grown_masks(self, u: AffineWeylElement,
-                    dual: bool) -> Optional[tuple[int, int]]:
-        """u's masks if W_d^0 (``dual``) or W^P is already grown and holds u; grows
-        nothing.  The tables are keyed by element, so an element of another group
-        is never found."""
-        table = vars(self).get("dual_min_rep_masks" if dual else "min_rep_masks")
-        return None if table is None else table.get(u)
+    def masks(self, u: AffineWeylElement, dual: bool) -> tuple[int, int]:
+        """u's (inversion mask, support mask) in W_d^0 (``dual``) or W^P; grows
+        nothing.  A grown set's table entry if it holds u, as membership is the
+        validation; else u is validated and read by sign over the set's root order."""
+        found = vars(self).get("dual_min_rep_masks" if dual else "min_rep_masks", {}).get(u)
+        if found is not None:
+            return found
+        support = _require_min_rep(self, u, dual)
+        order = self.dual_cotangent_supports if dual else self.cotangent_order
+        return u.inversion_mask(order), sum(1 << i for i in support)
 
     @functools.cached_property
     def cotangent_order(self) -> tuple[Vector, ...]:
@@ -157,15 +163,9 @@ class CominusculeContext:
         return dict(sorted((beta, m) for beta, m in self.affine_levi_roots.items() if beta[0]))
 
     @functools.cached_property
-    def dual_cotangent_roots(self) -> frozenset[Vector]:
-        """The dual cotangent roots as a set, on which the elements of W_d^0 are
-        read as inversion sets."""
-        return frozenset(self.dual_cotangent_supports)
-
-    @functools.cached_property
     def shifted_cotangent_roots(self) -> frozenset[Vector]:
         """psi: the negated dual cotangent roots."""
-        return frozenset(tuple(-x for x in beta) for beta in self.dual_cotangent_roots)
+        return frozenset(tuple(-x for x in beta) for beta in self.dual_cotangent_supports)
 
     @functools.cached_property
     def shifted_root_sums(self) -> frozenset[Vector]:
@@ -230,6 +230,23 @@ def build_context(series: str, rank: int, node: int) -> CominusculeContext:
         translation_coroot=coroot, translation_element=tau,
         dim_quotient=len(cotangent), cotangent_roots=cotangent,
     )
+
+
+def _require_min_rep(ctx: CominusculeContext, u: AffineWeylElement,
+                     dual: bool) -> frozenset[int]:
+    """u's support; ValueError unless u lies in W_d^0 (``dual``) or W^P."""
+    span, quotient, name = ((ctx.affine_levi_nodes, ctx.finite_nodes, "affine Levi parabolic")
+                            if dual else (ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group"))
+    if u.group is not ctx.group:
+        raise ValueError("element does not live in this context's Weyl group")
+    support = u.support()
+    if not support <= set(span):
+        raise ValueError(f"element is not in the {name}")
+    for node in quotient:
+        if u.has_right_descent(node):
+            raise ValueError(
+                f"element is not a minimal representative: descent at node {node}")
+    return support
 
 
 def _involution_from_levi(affine: DynkinDiagram, node: int, levi: tuple[int, ...],

@@ -3,16 +3,14 @@
 Root sets are bit masks over a fixed root order: bit k of a W^P mask is the
 k-th cotangent root of ``CominusculeContext.cotangent_order`` (sorted Phi+
 minus Phi+_levi), and bit k of a W_d^0 mask the k-th dual cotangent root of
-``dual_cotangent_supports``.  An element of a grown coset set reads its
-inversion and support masks off the context's table, and membership in the
-table is its validation; any other element (a query, a detvar label, an
-element read before its set is grown) is validated once and read by sign
-(``weyl``'s ``inversion_mask``) into the same int.  For a minimal
-representative w in the finite Weyl group, the conormal direction set R(w)
-is the cotangent roots less the inversions of w, stored as that mask's
-complement and decoded, in sorted order, on read.  Its twisted dual v (the
-diagram involution applied to w0*w*w_levi) lives in the affine Levi
-parabolic, where the shift alpha -> delta - alpha carries R(w) onto the
+``dual_cotangent_supports``.  Every element, a query or a detvar label
+included, gets its inversion and support masks from the context
+(``CominusculeContext.masks``), which validates what its tables do not hold.
+For a minimal representative w in the finite Weyl group, the conormal
+direction set R(w) is the cotangent roots less the inversions of w, stored
+as that mask's complement and decoded, in sorted order, on read.  Its
+twisted dual v (the diagram involution applied to w0*w*w_levi) lives in the
+affine Levi parabolic, where the shift alpha -> delta - alpha carries R(w) onto the
 inversions of v (``shift_check``, which shifts R(w)'s bits through the
 context's ``delta_shifts`` and compares them with v's sign read over
 Phi+_{aff Levi}, never with v's mask), and the closure of the conormal
@@ -100,33 +98,13 @@ def _decode(order: tuple[Vector, ...], bits: int) -> Iterator[Vector]:
         bits ^= low
 
 
-def _require_min_rep(ctx: CominusculeContext, u: AffineWeylElement, span: tuple[int, ...],
-                     quotient: tuple[int, ...], name: str) -> None:
-    """ValueError unless u lies in W_span (the ``name``) and in W^quotient."""
-    if u.group is not ctx.group:
-        raise ValueError("element does not live in this context's Weyl group")
-    if not u.support() <= set(span):
-        raise ValueError(f"element is not in the {name}")
-    for node in quotient:
-        if u.has_right_descent(node):
-            raise ValueError(
-                f"element is not a minimal representative: descent at node {node}")
-
-
 def _element_report(ctx: CominusculeContext, w: AffineWeylElement) -> ConormalReport:
-    """The report on w and its twisted dual v without a fibre.  A w of the grown
-    W^P is read off its table, and its v off W_d^0's, grown with it; any other w
-    is validated once and its inversions read by sign."""
+    """The report on w and its twisted dual v without a fibre, from the masks
+    the context reads for w and v."""
     if w in ctx.element_reports:
         return ctx.element_reports[w]
-    masks = ctx.grown_masks(w, dual=False)
-    if masks is None:
-        _require_min_rep(ctx, w, ctx.finite_nodes, ctx.levi_nodes, "finite Weyl group")
-        inv = w.inversion_mask(ctx.cotangent_order)
-    else:
-        inv = masks[0]
+    inv = ctx.masks(w, dual=False)[0]
     v = ctx.iota_elem(ctx.w0 * w * ctx.w_levi)
-    rootsys.require(masks is None or v in ctx.dual_min_reps, "twisted dual is not in W_d^0")
     try:  # v is derived, so a v outside W_d^0 is a bug
         smooth = is_smooth(ctx, v)
     except ValueError as exc:
@@ -163,8 +141,8 @@ def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
 def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport:
     """Evaluate the four equivalent smoothness criteria independently.
 
-    c5 reads u's inversion mask over the dual cotangent roots: off the table of
-    the grown W_d^0, or by sign for any other u, which is validated once.  As u
+    c5 reads u's inversion mask over the dual cotangent roots, and Supp(u) comes
+    from u's support mask, both from ``CominusculeContext.masks``.  As u
     lies in W_{Supp(u)} and in W^{finite}, it inverts only roots of
     Phi+_{Supp(u)} and no Levi root, so c5, Inv(u) on Phi+_{Supp(u)} equal to
     Phi+_{Supp(u)} minus Phi+_levi, holds iff that mask has exactly the bits of
@@ -173,15 +151,8 @@ def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport
     if u in ctx.smoothness_reports:
         return ctx.smoothness_reports[u]
     duals = ctx.dual_cotangent_supports
-    masks = ctx.grown_masks(u, dual=True)
-    if masks is None:
-        _require_min_rep(ctx, u, ctx.affine_levi_nodes, ctx.finite_nodes,
-                         "affine Levi parabolic")
-        supp = tuple(sorted(u.support()))
-        inv, mask = u.inversion_mask(duals), sum(1 << i for i in supp)
-    else:
-        inv, mask = masks
-        supp = tuple(i for i in ctx.affine_levi_nodes if mask >> i & 1)
+    inv, mask = ctx.masks(u, dual=True)
+    supp = tuple(i for i in ctx.affine_levi_nodes if mask >> i & 1)
     w_supp = longest_element(ctx.group, supp)
     w_supp_levi = longest_element(ctx.group, set(supp) & set(ctx.levi_nodes))
     c6 = u == w_supp * w_supp_levi

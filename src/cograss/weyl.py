@@ -30,7 +30,8 @@ what is not the action of an element: in the affine case a mu whose level
 sum_i a_i^vee mu_i is not that of rho, h^vee (every element fixes the level,
 and a mu of positive level strips in finitely many steps, Kac Prop. 3.12),
 and then a matrix other than the ``cols`` its mu derives.  ``WeylGroup.from_mu``
-takes mu itself, under the same level check, and ``coroot_heights`` reads it.
+takes mu itself, under the same level check, strips it once and refuses it
+(ValueError) unless the strip ends on rho; ``coroot_heights`` reads it back.
 
 The semidirect description W = W_0 x| (coroot lattice) is available as
 a derived view: ``semidirect_pair`` splits an element into its finite
@@ -450,14 +451,20 @@ class WeylGroup:
         """The element w with w^{-1}(rho) = mu, given by its coroot heights (one per node).
 
         Refuses a vector of the wrong length and, in an affine group, one whose
-        level is not that of rho, as the matrix constructor does.  The length is
-        not carried; the first ``length()`` strips it.
+        level is not that of rho, as the matrix constructor does, and one that names
+        no element, whose strip does not end on rho; the word and length stripped
+        are kept.
         """
         mu = tuple(mu)
         if len(mu) != len(self.diagram.nodes):
             raise ValueError(f"mu needs {len(self.diagram.nodes)} entries, got {len(mu)}")
         self._require_level(mu)
-        return _element(self, mu)
+        x = _element(self, mu)
+        try:
+            x.length()
+        except InvariantError as exc:
+            raise ValueError(f"mu names no element: {exc}") from None
+        return x
 
     def from_word_str(self, text: str) -> AffineWeylElement:
         """Parse the canonical space-separated word form ('' = identity)."""

@@ -372,16 +372,15 @@ def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_
     each other element (fibre-det's, before involution-bij grows W^P) once per
     side, however many checks read its conormal data.  Validating every
     element once took 268 + 268 calls."""
-    real = conormal._require_min_rep
+    real = cominuscule._require_min_rep
     validated = []
 
-    def counting(ctx, u, span, quotient, name):
-        dual = span != ctx.finite_nodes
+    def counting(ctx, u, dual):
         validated.append((id(ctx), u, dual))
-        assert ctx.grown_masks(u, dual) is None
-        return real(ctx, u, span, quotient, name)
+        assert u not in vars(ctx).get("dual_min_rep_masks" if dual else "min_rep_masks", ())
+        return real(ctx, u, dual)
 
-    monkeypatch.setattr(conormal, "_require_min_rep", counting)
+    monkeypatch.setattr(cominuscule, "_require_min_rep", counting)
     report = run_suite("all", 5)
     assert report.all_pass
     contexts = [fresh_contexts(*pair) for pair in checks.cominuscule_pairs(5)]
@@ -406,13 +405,13 @@ def test_sweep_reads_each_dual_by_sign_once(monkeypatch, fresh_contexts):
 
         monkeypatch.setattr(weyl.AffineWeylElement, name, counting)
     validated = []
-    real = conormal._require_min_rep
+    real = cominuscule._require_min_rep
 
-    def recording(ctx, u, *args):
+    def recording(ctx, u, dual):
         validated.append(u)
-        return real(ctx, u, *args)
+        return real(ctx, u, dual)
 
-    monkeypatch.setattr(conormal, "_require_min_rep", recording)
+    monkeypatch.setattr(cominuscule, "_require_min_rep", recording)
     for suite in sorted(checks.SUITES):
         if suite != "nilp":
             assert run_suite(suite, 5).all_pass, suite
@@ -805,3 +804,30 @@ def test_a_wrong_coset_mask_fails_its_check_with_asserts_stripped(suite):
     assert run.returncode == 1, run.stderr[-2000:]
     failed = [[c["id"], c["params"]] for c in json.loads(run.stdout)["checks"] if not c["pass"]]
     assert failed == [[suite, "A3 d=2"]]
+
+
+DUAL_TABLE_MISSING_ONE = """
+import json
+from cograss import checks, cominuscule
+real = cominuscule.coset_masks
+
+def short(group, span, quotient):
+    table = real(group, span, quotient)
+    if (group.diagram.series, group.diagram.rank, tuple(span)) == ("A", 3, (0, 1, 3)):
+        del table[max(table, key=lambda u: table[u][0])]  # W_d^0's top element
+    return table
+
+cominuscule.coset_masks = short
+print(json.dumps([[c.check_id, c.params, c.note] for c in checks.run_suite("vinwsd", 5).failed]))
+"""
+
+
+def test_a_dual_table_missing_an_element_fails_vinwsd_with_asserts_stripped():
+    """Membership in W_d^0's table is no check of its own: a twisted dual missing
+    from the table is validated and read by sign like any other element.  Under
+    python -O, with W_d^0's top dropped from the A3 d=2 table, the vinwsd record
+    of that context fails on the set comparison, with no exception raised, and
+    vinwsd-support still passes."""
+    run = _run_with_asserts_stripped("-c", DUAL_TABLE_MISSING_ONE)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert json.loads(run.stdout) == [["vinwsd", "A3 d=2", ""]]

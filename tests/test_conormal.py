@@ -333,8 +333,9 @@ def test_affine_levi_root_table_is_the_grown_root_set(pair):
     for beta, mask in table.items():
         assert mask == sum(1 << i for i in ctx.affine_diagram.nodes if beta[i])
     levi = rootsys.positive_roots(ctx.affine_diagram, ctx.levi_nodes)
-    assert ctx.dual_cotangent_roots == grown - levi
-    assert ctx.dual_cotangent_roots == {ctx.iota_root(alpha) for alpha in ctx.cotangent_roots}
+    duals = ctx.dual_cotangent_supports.keys()
+    assert duals == grown - levi
+    assert duals == {ctx.iota_root(alpha) for alpha in ctx.cotangent_roots}
 
 
 @pytest.mark.parametrize("pair", list(cominuscule_pairs(8, True)), ids=lambda p: "%s%d d=%d" % p)
@@ -360,7 +361,8 @@ def test_coset_masks_match_the_sign_read(pair):
         assert report.roots == ctx.cotangent_roots - w.inversions(ctx.cotangent_roots)
         if report.closure_is_schubert:
             (top,) = report.fibre_max
-            kept = ctx.dual_cotangent_roots - top.inversions(ctx.dual_cotangent_roots)
+            duals = ctx.dual_cotangent_supports.keys()
+            kept = duals - top.inversions(duals)
             assert report.fibre_all == {u for u in ctx.dual_min_reps if not u.inversions(kept)}
 
 
@@ -368,8 +370,8 @@ def test_coset_masks_match_the_sign_read(pair):
                          ids=lambda p: "%s%d d=%d" % p)
 def test_untabled_elements_get_the_tabled_reports(pair):
     """An element read before its coset set is grown is validated and read by
-    sign; it gets the same conormal and smoothness reports as the same element
-    read off the grown tables of a second context."""
+    sign; it gets the same masks, and the same conormal and smoothness reports,
+    as the same element read off the grown tables of a second context."""
     cold = cominuscule.build_context.__wrapped__(*pair)
     warm = cominuscule.build_context.__wrapped__(*pair)
     assert warm.min_reps and warm.dual_min_reps
@@ -381,6 +383,10 @@ def test_untabled_elements_get_the_tabled_reports(pair):
             (tabled.root_bits, tabled.v, tabled.smooth)
     assert set(cold.element_reports) == warm.min_reps
     assert set(cold.smoothness_reports) == warm.dual_min_reps
+    assert all(cold.masks(u, dual) == warm.masks(u, dual)
+               for dual, coset in ((False, warm.min_reps), (True, warm.dual_min_reps))
+               for u in coset)
+    assert "min_rep_masks" not in vars(cold) and "dual_min_rep_masks" not in vars(cold)
 
 
 def test_tables_refuse_an_element_of_another_group():
@@ -478,7 +484,7 @@ def test_cominuscule_bruhat_order_is_inversion_containment():
     for pair in contexts:
         ctx = build_context(*pair)
         for coset, roots in ((ctx.min_reps, ctx.cotangent_roots),
-                             (ctx.dual_min_reps, ctx.dual_cotangent_roots)):
+                             (ctx.dual_min_reps, frozenset(ctx.dual_cotangent_supports))):
             inv = {}
             for x in coset:
                 inv[x] = x.inversions(roots)

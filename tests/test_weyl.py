@@ -980,6 +980,35 @@ def test_from_mu_reads_back_the_coroot_heights(series, rank, affine):
             g.from_mu((-1,) * len(g.diagram.nodes))
 
 
+@pytest.mark.parametrize("series, rank, affine, mu", [
+    ("A", 1, True, (4, -2)), ("A", 2, False, (5, 1)),
+    *(("D", n, True, (0,) + (1,) * (n - 1) + (2,)) for n in (4, 5, 8))])
+def test_from_mu_refuses_a_mu_that_names_no_element(series, rank, affine, mu):
+    """A mu of the right length and level that names no element is a caller's
+    bad input: its strip ends on a dominant mu other than rho, so from_mu
+    raises ValueError at once, not InvariantError at the first length().  On
+    A~1, (4, -2) strips to (0, 2); on A2, (5, 1) is dominant; on D~n a zero
+    coroot height (with mu_n - mu_{n-1} odd) is no element's."""
+    g = group_of(series, rank, affine=affine)
+    with pytest.raises(ValueError, match="names no element"):
+        g.from_mu(mu)
+
+
+def test_from_mu_keeps_the_word_and_length_it_stripped(monkeypatch):
+    """from_mu strips a copy of mu once and keeps the word and length found, so
+    neither length() nor reduced_word() strips again."""
+    g = group_of("E", 6, affine=True)
+    w = g.from_word((0, 2, 4, 3, 1, 5, 6, 4, 2, 0))
+    expected = (w.length(), w.reduced_word())
+    x = g.from_mu(w.coroot_heights())
+
+    def refuse(*args):
+        raise AssertionError("a word was stripped again")
+
+    monkeypatch.setattr(WeylGroup, "_strip", refuse)
+    assert (x.length(), x.reduced_word()) == expected
+
+
 @pytest.mark.parametrize("series, rank", AFFINE_TO_RANK_8)
 def test_simple_products_match_the_plain_reflection_oracle(series, rank):
     """Oracle: along 20 seeded words, each right product w s_i equals w applied to

@@ -119,7 +119,7 @@ def check_translation_identity(ctx: CominusculeContext) -> bool:
     via_longest = ctx.w0 * ctx.w_levi * ctx.w_affine_levi * ctx.w_levi
     finite, q = tau.semidirect_pair()
     return (tau == via_words == via_longest
-            and ctx.group.embed_finite_matrix(finite) == ctx.group.identity
+            and finite.is_identity()
             and q == ctx.translation_coroot
             and tau.length() == 2 * ctx.dim_quotient)
 

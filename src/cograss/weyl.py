@@ -22,31 +22,35 @@ the same way along w's reduced word.  The action ``act`` on a root-lattice
 vector folds the reversed word, with s_i changing coordinate i alone by
 <v, alpha_i^vee>.  The matrix of the action, ``cols`` (column k the image
 of alpha_k), is derived from the word on each read and never stored; only
-the semidirect split, the constructor and the tests read it.  A matrix
-given to the constructor (as ``embed_finite_matrix`` does) is read into mu
-once, with no length: mu_i is the height of the coroot w(alpha_i^vee),
-which is sum_k cols[i][k] d_k / d_i for the symmetrizer d.  The constructor refuses
-what is not the action of an element: in the affine case a mu whose level
-sum_i a_i^vee mu_i is not that of rho, h^vee (every element fixes the level,
-and a mu of positive level strips in finitely many steps, Kac Prop. 3.12),
-and then a matrix other than the ``cols`` its mu derives.  ``WeylGroup.from_mu``
-takes mu itself, under the same level check, strips it once and refuses it
-(ValueError) unless the strip ends on rho; ``coroot_heights`` reads it back.
+``embed_finite_matrix`` and the tests read it.
 
-The semidirect description W = W_0 x| (coroot lattice) is available as
-a derived view: ``semidirect_pair`` splits an element into its finite
-part and translation coweight, and ``from_translation`` builds a pure
-translation from its mu, tau_q^{-1}(rho) = rho - h^vee nu(q) mod delta
-(Kac, (6.5.2)).  Each affine WeylGroup checks at construction that its
-affine generator equals s_theta composed with translation by -theta^vee,
-which pins the composition convention (u, q) = u o tau_q with group law
-(u, q)(u', q') = (u u', u'^{-1}(q) + q').  The split solves nothing: u
-fixes Lambda_0, so w^{-1}(Lambda_0) = tau_{-q}(Lambda_0) = Lambda_0 - nu(q)
-+ c delta (Kac, Infinite-dimensional Lie algebras, (6.5.2)), with
-nu(alpha_j^vee) = d_0 alpha_j / d_j: Kac normalises (theta|theta) = 2, and
-(theta|theta) = 2 d_0 for the symmetrizer d.  Folding a word of w in word order on
-x = w^{-1}(Lambda_0) - Lambda_0, letter i does x_i -= [i = 0] + <x, alpha_i^vee>,
-and then q_j = d_j (x_0 delta_j - x_j) / d_0.
+Every element is born from mu, by ``_element`` and the group's named
+constructors (``from_word``, ``from_word_str``, ``from_mu``,
+``from_translation``, ``embed_finite_matrix``).  ``from_mu`` refuses
+(ValueError) a mu that names no element: in the affine case one whose level
+sum_i a_i^vee mu_i is not h^vee, that of rho (every element fixes the level,
+and a mu of positive level strips in finitely many steps, Kac Prop. 3.12),
+and one whose strip does not end on rho.  ``embed_finite_matrix`` reads mu_i
+as the height of the coroot w(alpha_i^vee), sum_k cols[i][k] d_k / d_i for
+the symmetrizer d, and refuses a matrix of the wrong shape or other than the
+``cols`` its mu derives.
+
+The semidirect description W = W_0 x| (coroot lattice) is available as a
+derived view: ``semidirect_pair`` splits an element into its finite part, an
+element that fixes Lambda_0, and its translation coweight, and
+``from_translation`` builds a pure translation from its mu, tau_q^{-1}(rho) =
+rho - h^vee nu(q) mod delta (Kac, (6.5.2)).  Each affine WeylGroup checks at
+construction that its affine generator equals s_theta composed with
+translation by -theta^vee, which pins the composition convention (u, q) = u o
+tau_q with group law (u, q)(u', q') = (u u', u'^{-1}(q) + q').  The split
+solves nothing: u fixes Lambda_0, so w^{-1}(Lambda_0) = tau_{-q}(Lambda_0) =
+Lambda_0 - nu(q) + c delta (Kac, Infinite-dimensional Lie algebras, (6.5.2)),
+with nu(alpha_j^vee) = d_0 alpha_j / d_j: Kac normalises (theta|theta) = 2,
+and (theta|theta) = 2 d_0 for the symmetrizer d.  Folding a word of w in word
+order on x = w^{-1}(Lambda_0) - Lambda_0, letter i does x_i -= [i = 0] + <x,
+alpha_i^vee>, and then q_j = d_j (x_0 delta_j - x_j) / d_0.  The same x gives
+u with no product, strip or matrix: u^{-1} = tau_q w^{-1}, so mu(u) =
+tau_q(mu(w)) = mu(w) + h^vee nu(q) = mu(w) - h^vee x mod delta.
 
 Reduced words strip right descents, smallest node index first, so
 reduced words, minimal representatives and traces are deterministic.
@@ -126,30 +130,11 @@ from .rootsys import (
 class AffineWeylElement:
     """An element of a finite or affine Weyl group, stored as mu = w^{-1}(rho).
 
-    The constructor takes the matrix of the action on the root lattice
-    (column k the image of alpha_k), reads mu off it once and refuses a
-    matrix that is not an element's action; the group's own products build
-    elements from mu directly.
+    The class takes no constructor arguments: elements are born from mu
+    (module docstring).
     """
 
     __slots__ = ("group", "mu", "_word", "_inv", "_len")
-
-    def __init__(self, group: "WeylGroup", cols: Sequence[Vector]):
-        d = group.diagram.symmetrizer
-        mu = []
-        for col, di in zip(cols, d):
-            height, rem = divmod(sum(map(mul, col, d)), di)
-            if rem:
-                raise InvariantError("coroot height is not integral")
-            mu.append(height)
-        self.group = group
-        self.mu = tuple(mu)
-        self._word: Optional[tuple[int, ...]] = None
-        self._inv: Optional["AffineWeylElement"] = None
-        self._len: Optional[int] = None
-        group._require_level(self.mu)
-        if self.cols != tuple(map(tuple, cols)):
-            raise InvariantError("matrix is not the action of the element its mu names")
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, AffineWeylElement)
@@ -304,33 +289,32 @@ class AffineWeylElement:
 
     # -- semidirect product view ----------------------------------------------
 
-    def semidirect_pair(self) -> tuple[tuple[Vector, ...], Vector]:
-        """Split into (finite-part matrix, translation coweight).
+    def semidirect_pair(self) -> tuple["AffineWeylElement", Vector]:
+        """Split into (finite part, translation coweight): w = u o tau_q.
 
-        The element equals u o tau_q; the finite matrix is column-major
-        over the finite nodes, q is integral in the coroot basis.  q is
-        read off w^{-1}(Lambda_0), as the module docstring explains.  w is
-        a translation iff u is the identity; in a finite group, iff w is.
+        u is an element that fixes Lambda_0, q is integral in the coroot
+        basis; both are read off w^{-1}(Lambda_0), as the module docstring
+        explains.  w is a translation iff u is the identity; in a finite
+        group u is w and q is zero.
         """
         group = self.group
         diagram = group.diagram
         if not diagram.affine:
-            return self.cols, (0,) * len(diagram.nodes)
+            return self, (0,) * len(diagram.nodes)
         x = [0] * len(diagram.nodes)  # w^{-1}(Lambda_0) - Lambda_0, one letter at a time
         for i in self.reduced_word():
             x[i] -= (i == 0) + sum(x[j] * c for j, c in group._cartan_row[i])
         d, delta = diagram.symmetrizer, diagram.delta
         nums = [dj * (x[0] * m - xj) for dj, m, xj in zip(d, delta, x)][1:]
         require(all(num % d[0] == 0 for num in nums), "translation part is not integral")
-        ucols = []
-        for col in self.cols[1:]:
-            level = col[0]
-            ucols.append(tuple(c - level * m for c, m in zip(col[1:], delta[1:])))
-        return tuple(ucols), tuple(num // d[0] for num in nums)
+        h = group._dual_coxeter
+        u = _element(group, tuple(m - h * sum(x[j] * c for j, c in row)
+                                  for m, row in zip(self.mu, group._cartan_row)))
+        return u, tuple(num // d[0] for num in nums)
 
 
 def _element(group: "WeylGroup", mu: Vector, length: Optional[int] = None) -> AffineWeylElement:
-    """The element with the given mu, built without reading a matrix."""
+    """The element with the given mu: the one way an element is made."""
     x = object.__new__(AffineWeylElement)
     x.group = group
     x.mu = mu
@@ -398,11 +382,6 @@ class WeylGroup:
         else:
             self.finite_diagram = diagram
 
-    def _require_level(self, mu: Vector) -> None:
-        """InvariantError unless an affine mu has the level of rho, sum_i a_i^vee mu_i = h^vee."""
-        if self.diagram.affine and sum(map(mul, self._comarks, mu)) != self._dual_coxeter:
-            raise InvariantError("mu does not have the level of rho")
-
     def _fold(self, vec: list[int], letters: Iterable[int]) -> int:
         """Apply s_i to weight coordinates in place for each letter in turn (word
         order); return how many letters met a negative coordinate."""
@@ -450,15 +429,18 @@ class WeylGroup:
     def from_mu(self, mu: Sequence[int]) -> AffineWeylElement:
         """The element w with w^{-1}(rho) = mu, given by its coroot heights (one per node).
 
-        Refuses a vector of the wrong length and, in an affine group, one whose
-        level is not that of rho, as the matrix constructor does, and one that names
-        no element, whose strip does not end on rho; the word and length stripped
-        are kept.
+        Refuses (ValueError) a vector of the wrong length or with an entry that is
+        not an integer, in an affine group one whose level sum_i a_i^vee mu_i is
+        not h^vee, that of rho, and one that names no element, whose strip does
+        not end on rho; the word and length stripped are kept.
         """
         mu = tuple(mu)
         if len(mu) != len(self.diagram.nodes):
             raise ValueError(f"mu needs {len(self.diagram.nodes)} entries, got {len(mu)}")
-        self._require_level(mu)
+        if not all(isinstance(m, int) for m in mu):
+            raise ValueError("mu is off the weight lattice: entries must be integers")
+        if self.diagram.affine and sum(map(mul, self._comarks, mu)) != self._dual_coxeter:
+            raise ValueError("mu does not have the level of rho")
         x = _element(self, mu)
         try:
             x.length()
@@ -491,24 +473,29 @@ class WeylGroup:
                                     for row in self._cartan_row))
 
     def embed_finite_matrix(self, ucols: Sequence[Vector]) -> AffineWeylElement:
-        """Extend a finite Weyl matrix to the affine lattice (delta fixed)."""
+        """The element acting on the finite roots by the matrix ucols (column k the
+        image of alpha_k), with delta fixed; the one reader of a matrix.  ValueError
+        unless ucols is an element's action (module docstring)."""
         diagram = self.diagram
-        if not diagram.affine:
-            return AffineWeylElement(self, tuple(tuple(c) for c in ucols))
-        n = diagram.rank
-        delta = diagram.delta
-        cols = [None] * (n + 1)
-        for j in range(1, n + 1):
-            cols[j] = (0,) + tuple(ucols[j - 1])
-        theta_img = [0] * n
-        theta = delta[1:]
-        for j in range(n):
-            if theta[j]:
-                for a in range(n):
-                    theta_img[a] += theta[j] * ucols[j][a]
-        # alpha_0 = delta - theta, so u(alpha_0) = alpha_0 + theta - u(theta)
-        cols[0] = (1,) + tuple(t - ti for t, ti in zip(theta, theta_img))
-        return AffineWeylElement(self, tuple(cols))
+        cols, n = tuple(map(tuple, ucols)), diagram.rank
+        if len(cols) != n or any(len(col) != n for col in cols):
+            raise ValueError(f"a finite matrix needs {n} columns of {n} entries")
+        if diagram.affine:
+            theta = diagram.delta[1:]
+            theta_img = [sum(t * col[a] for t, col in zip(theta, cols)) for a in range(n)]
+            # alpha_0 = delta - theta, so u(alpha_0) = alpha_0 + theta - u(theta)
+            cols = ((1,) + tuple(map(sub, theta, theta_img)),) + tuple((0,) + col for col in cols)
+        d = diagram.symmetrizer
+        mu = []
+        for col, di in zip(cols, d):
+            height, rem = divmod(sum(map(mul, col, d)), di)
+            if rem:
+                raise ValueError("coroot height is not integral")
+            mu.append(height)
+        x = self.from_mu(mu)
+        if x.cols != cols:
+            raise ValueError("matrix is not the action of the element its mu names")
+        return x
 
     # -- convention validation ----------------------------------------------------
 

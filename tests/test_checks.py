@@ -612,9 +612,10 @@ def test_root_layer_reads_instead_of_filtering_or_solving():
 
 def test_only_weyl_reads_the_element_matrix():
     """Gate: the storage format of an element has one owner.  No module but weyl
-    reads an element's mu, matrix, carried length or memos, or builds an element
-    from a matrix; the involution goes through relabel, the split through
-    semidirect_pair and embed_finite_matrix."""
+    reads an element's mu, matrix, carried length or memos, or calls the class
+    (which takes no arguments: elements are born from mu inside weyl); the
+    involution goes through relabel, the split through semidirect_pair, whose
+    finite part is an element."""
     private = {"mu", "cols", "_len", "_word", "_inv", "_hash"}
     sites = []
     for path in sorted((REPO / "src" / "cograss").glob("*.py")):
@@ -633,9 +634,8 @@ def test_workload_paths_derive_no_matrix(monkeypatch, fresh_contexts):
     """Gate: an element is its mu vector, and the workload paths never derive the
     matrix of an action.  With that derivation made to raise, on fresh contexts:
     the predicate with the full fibre on every W^P element of every context to
-    rank 5, fibre_rank(n, r) for n <= 7, and the sb-equiv, main-result,
-    involution-bij and vinwsd sweeps at rank 5.  No slot of an element holds a
-    matrix."""
+    rank 5, fibre_rank(n, r) for n <= 7, and every verify suite at rank 5.  No
+    slot of an element holds a matrix."""
     def refuse(self):
         raise AssertionError("a workload path derived an element's matrix")
 
@@ -649,8 +649,8 @@ def test_workload_paths_derive_no_matrix(monkeypatch, fresh_contexts):
     for n in range(4, 8):
         for r in range(0, detvar.even_rank(n) + 1, 2):
             detvar.fibre_rank(n, r)
-    for suite in ("sb-equiv", "main-result", "involution-bij", "vinwsd"):
-        assert run_suite(suite, 5).all_pass, suite
+    report = run_suite("all", 5)
+    assert report.all_pass, [(c.check_id, c.params) for c in report.failed]
     slots = weyl.AffineWeylElement.__slots__
     assert set(slots) == {"group", "mu", "_word", "_inv", "_len"}
     for x in elements:

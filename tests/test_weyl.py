@@ -13,7 +13,6 @@ from cograss.checks import cominuscule_pairs
 from cograss.cominuscule import build_context, cominuscule_nodes
 from cograss.rootsys import (
     _RANK_BOUNDS,
-    InvariantError,
     build_diagram,
     highest_root,
     inner_form,
@@ -68,9 +67,9 @@ def test_affine_generator_matches_semidirect_pair():
     g = group_of("A", 1, affine=True)
     a0 = g.diagram.simple_root(0)
     assert g.simple[0].act(a0) == (-1, 0)
-    ucols, q = g.simple[0].semidirect_pair()
+    u, q = g.simple[0].semidirect_pair()
     assert q == tuple(-x for x in theta_coroot(g.finite_diagram))
-    assert ucols == ((-1,),)  # s_theta = s_1 in rank one
+    assert u == g.embed_finite_matrix(((-1,),)) == g.simple[1]  # s_theta = s_1 in rank one
 
 
 def test_action_rejects_wrong_lattice():
@@ -112,9 +111,8 @@ def test_semidirect_pair_roundtrip(pair, raw):
     series, rank = pair
     g = group_of(series, rank, affine=True)
     w = g.from_word(i % (rank + 1) for i in raw)
-    ucols, q = w.semidirect_pair()
-    rebuilt = g.embed_finite_matrix(ucols) * g.from_translation(q)
-    assert rebuilt == w
+    u, q = w.semidirect_pair()
+    assert u * g.from_translation(q) == w
 
 
 AFFINE_TO_RANK_8 = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
@@ -130,9 +128,9 @@ def test_semidirect_pair_reads_the_solved_translation(series, rank):
     rng = random.Random(f"{series}{rank}")
     for _ in range(30):
         w = g.from_word(rng.choice(g.diagram.nodes) for _ in range(rng.randrange(4 * rank + 8)))
-        ucols, q = w.semidirect_pair()
+        u, q = w.semidirect_pair()
         assert q == solved_translation(w)
-        assert g.embed_finite_matrix(ucols) * g.from_translation(q) == w
+        assert u * g.from_translation(q) == w
 
 
 def test_word_str_parse_roundtrip():
@@ -152,12 +150,8 @@ def test_group_law_on_semidirect_pairs():
     uy, qy = y.semidirect_pair()
     uz, qz = (x * y).semidirect_pair()
     # finite parts multiply; translation is u_y^{-1}(q_x) + q_y
-    fin = WeylGroup(g.finite_diagram)
-    ex = fin.identity.__class__(fin, ux)
-    ey = fin.identity.__class__(fin, uy)
-    assert (ex * ey).cols == uz
-    yinv_embedded = g.embed_finite_matrix(uy).inverse()
-    moved = _dual_action(g, yinv_embedded, qx)
+    assert ux * uy == uz
+    moved = _dual_action(g, uy.inverse(), qx)
     assert tuple(a + b for a, b in zip(moved, qy)) == qz
 
 
@@ -198,10 +192,8 @@ def test_theta_coroot_matches_the_solve_of_its_pairings(series, rank):
 
 
 def finite_part_is_identity(x):
-    """Oracle: the finite part of the semidirect split is the identity matrix."""
-    ucols, _ = x.semidirect_pair()
-    n = len(ucols)
-    return ucols == tuple(tuple(int(a == b) for a in range(n)) for b in range(n))
+    """The finite part of the semidirect split is the identity."""
+    return x.semidirect_pair()[0].is_identity()
 
 
 def test_acts_as_translation_matches_semidirect_pair_on_every_context_tau():
@@ -691,7 +683,7 @@ FINITE_UP_TO_RANK_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3
 
 def stripped_length(x):
     """Slow oracle: a fresh copy carries no length, so it strips a reduced word."""
-    return AffineWeylElement(x.group, x.cols).length()
+    return _element(x.group, x.mu).length()
 
 
 def assert_lengths_carried(x):
@@ -931,7 +923,6 @@ def test_translations_and_s_theta_from_mu_match_the_column_matrix(series, rank):
     delta = diagram.delta
     rng = random.Random(f"translation {series}{rank}")
     theta_covec = theta_coroot(finite)
-    identity_cols = tuple(tuple(int(a == b) for a in range(rank)) for b in range(rank))
     qs = [tuple(rng.randrange(-3, 4) for _ in range(rank)) for _ in range(7)]
     for q in qs + [tuple(-x for x in theta_covec)]:
         shifts = [sum(diagram.entry(i, j) * qi for i, qi in enumerate(q, 1))
@@ -941,8 +932,7 @@ def test_translations_and_s_theta_from_mu_match_the_column_matrix(series, rank):
                                        for b, s in enumerate(shifts)])
         tau = g.from_translation(q)
         assert tau.cols == model.cols
-        assert tau == AffineWeylElement(g, model.cols)
-        assert tau.semidirect_pair() == (identity_cols, q)
+        assert tau.semidirect_pair() == (g.identity, q)
     theta = delta[1:]
     s_theta = g.embed_finite_matrix(tuple(
         tuple((a == j) + diagram.cartan[0][j] * t for a, t in enumerate(theta, 1))
@@ -951,22 +941,30 @@ def test_translations_and_s_theta_from_mu_match_the_column_matrix(series, rank):
 
 
 @pytest.mark.parametrize("series, rank, cols, message", [
-    ("A", 1, ((-1, 0), (0, -1)), "level of rho"),
-    ("A", 2, ((1, 1, -1), (0, 1, 0), (0, 0, 1)), "not the action"),
+    ("B", 2, ((0, 1), (1, 0)), "not integral"),
+    ("A", 2, ((0, 1), (1, 0)), "not the action"),
+    ("A", 2, ((1, 1), (0, 1)), "names no element"),
+    ("A", 2, ((1,), (0, 1)), "2 columns of 2 entries"),
 ])
 def test_constructor_refuses_a_matrix_outside_the_group(series, rank, cols, message):
-    """On A~1, -1 has mu = (-1, -1) of level -2, whose strip never ends; on A~2 a
-    non-Weyl matrix reads back the identity's mu.  Both raise InvariantError."""
+    """embed_finite_matrix, the one constructor that reads a matrix, refuses a
+    caller's matrix that is no element's action with ValueError: on B2 the swap
+    of the two simple roots has a coroot height of 1/2; on A2 it reads back the
+    identity's mu; the A2 shear reads the dominant mu (2, 1), not rho; and a
+    ragged matrix has the wrong shape.  The class itself takes no matrix."""
     g = group_of(series, rank, affine=True)
-    with pytest.raises(InvariantError, match=message):
-        AffineWeylElement(g, cols)
+    with pytest.raises(ValueError, match=message):
+        g.embed_finite_matrix(cols)
+    with pytest.raises(TypeError):
+        AffineWeylElement(g, g.identity.cols)
 
 
 @pytest.mark.parametrize("series, rank, affine", [
     ("A", 3, False), ("B", 3, True), ("D", 5, True), ("E", 6, True)])
 def test_from_mu_reads_back_the_coroot_heights(series, rank, affine):
-    """from_mu inverts coroot_heights on seeded words, and refuses a vector of the
-    wrong length and, in an affine group, one off the level of rho."""
+    """from_mu inverts coroot_heights on seeded words, and refuses (ValueError) a
+    vector of the wrong length, one with a float entry and, in an affine group,
+    one off the level of rho."""
     g = group_of(series, rank, affine=affine)
     rng = random.Random(f"from_mu {series}{rank}")
     for _ in range(20):
@@ -975,8 +973,10 @@ def test_from_mu_reads_back_the_coroot_heights(series, rank, affine):
         assert g.from_mu(w.coroot_heights()).reduced_word() == w.reduced_word()
     with pytest.raises(ValueError, match="entries"):
         g.from_mu((1,) * (len(g.diagram.nodes) + 1))
+    with pytest.raises(ValueError, match="integers"):
+        g.from_mu((1.0,) + (1,) * (len(g.diagram.nodes) - 1))
     if affine:
-        with pytest.raises(InvariantError, match="level of rho"):
+        with pytest.raises(ValueError, match="level of rho"):
             g.from_mu((-1,) * len(g.diagram.nodes))
 
 
@@ -1077,7 +1077,7 @@ def test_elements_match_the_column_matrix_oracle(series, rank, affine):
                 diagram, model.cols, model.length, node)
         assert w.cols == model.cols
         assert w.length() == model.length
-        fresh = AffineWeylElement(g, model.cols)
+        fresh = _element(g, w.mu)
         assert fresh == w and hash(fresh) == hash(w) and fresh._len is None
         assert fresh.length() == model.length
         assert w.reduced_word() == fresh.reduced_word() == model.reduced_word()
@@ -1085,7 +1085,9 @@ def test_elements_match_the_column_matrix_oracle(series, rank, affine):
         assert w.first_right_descent() == next(
             (i for i, flag in zip(nodes, model.descents()) if flag), None)
         assert w.inversions(roots) == model.inversions(roots)
-        assert w.semidirect_pair() == model.semidirect_pair()
+        u, q = w.semidirect_pair()
+        model_ucols, model_q = model.semidirect_pair()
+        assert u == g.embed_finite_matrix(model_ucols) and q == model_q
         for node in nodes:
             assert w.mul_simple_left(node).cols == model.mul_simple_left(node).cols
         vec = tuple(rng.randrange(-3, 4) for _ in nodes)

@@ -324,3 +324,47 @@ def test_query_mix_sample_matches_golden_digests_in_one_process(capsys):
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (
             series, rank, d, word)
+
+
+# -- the bytes of every subcommand, pinned ---------------------------------------------
+
+PINNED = {  # argv -> (exit code, sha256 of stdout, first 16 hex digits); help at COLUMNS=80
+    ("--help",): (0, "a37d84733d9e3542"),
+    ("roots", "--help"): (0, "b6f7d23c949565d9"),
+    ("smooth", "--help"): (0, "2d116d5e58967d1c"),
+    ("conormal", "--help"): (0, "3a3947f2a5d69c6a"),
+    ("detvar", "--help"): (0, "244ec5d39995540c"),
+    ("verify", "--help"): (0, "9517fc1bf162a8eb"),
+    ("roots", "--type", "D", "--rank", "4"): (0, "46ac92ac2210db9d"),
+    ("roots", "--type", "D", "--rank", "4", "--json"): (0, "7225d10a5884bc9b"),
+    ("roots", "--type", "B", "--rank", "3", "--affine"): (0, "669a78ef50f380f6"),
+    ("roots", "--type", "B", "--rank", "3", "--affine", "--json"): (0, "ad1e48e95d3965c5"),
+    ("smooth", "--type", "A", "--rank", "3", "--comin", "2", "--u", "1 3 0"):
+        (0, "a6b7ed8dd44cdf37"),
+    ("smooth", "--type", "A", "--rank", "3", "--comin", "2", "--u", "1 3 0", "--json"):
+        (0, "5e8b34fdd7424c3c"),
+    ("conormal", "--type", "A", "--rank", "3", "--comin", "2", "--w", "", "--full-fibre"):
+        (0, "a3b3f63ed29fa263"),
+    ("conormal", "--type", "A", "--rank", "3", "--comin", "2", "--w", "", "--full-fibre",
+     "--json"): (0, "323bb58bf5a55ac8"),
+    ("conormal", "--type", "A", "--rank", "3", "--comin", "2", "--w", "2", "--fibre"):
+        (0, "49f5f624b573f32e"),
+    ("conormal", "--type", "A", "--rank", "3", "--comin", "2", "--w", "2", "--fibre",
+     "--json"): (0, "1893badfcab77022"),
+    ("detvar", "--n", "6", "--r", "2"): (0, "77293c6f5d450b76"),
+    ("detvar", "--n", "6", "--r", "2", "--json"): (0, "f7f1e9c2c44f239d"),
+    ("verify", "--suite", "result-q", "--max-rank", "3"): (0, "dd9ebe083ea2f0fb"),
+    ("verify", "--suite", "result-q", "--max-rank", "3", "--json"): (0, "2eff315ea59a774c"),
+}
+
+
+def test_every_subcommand_prints_its_pinned_bytes(capsys, monkeypatch):
+    """The help texts and the text and --json outputs of each subcommand, a
+    non-smooth element, a full fibre and a refused fibre among them, keep their
+    exit codes and the sha256 of their whole stdout."""
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = {}
+    for argv in PINNED:
+        code, out, _ = _in_process(capsys, list(argv))
+        seen[argv] = (code, hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert seen == PINNED

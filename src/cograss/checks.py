@@ -272,7 +272,7 @@ def type_d_elements(n: int) -> set[detvar.SignedPermutation]:
 
 
 def check_type_d_length_agreement(n: int) -> bool:
-    """Matrix-model length equals the signed-permutation inversion statistic."""
+    """from_word(word).length() equals the signed-permutation inversion statistic."""
     group = WeylGroup(build_diagram("D", n))
     seen = type_d_elements(n)
     if len(seen) != 2 ** (n - 1) * factorial(n):

@@ -7,6 +7,13 @@ fibre decomposition), ``detvar`` (the skew-symmetric determinantal
 fibre theorem for one (n, r)), and ``verify`` (named lemma sweeps with
 a pass/fail exit code).
 
+One table, ``COMMANDS``, drives the command line: each subcommand's help
+text, handler and arguments, as (flag, ``add_argument`` options) pairs,
+sit in one entry, and ``build_parser`` adds every subcommand, with
+``--json``, by looping over it.  A handler returns (JSON payload, text
+lines, exit code), and ``main`` prints one of the two once the handler
+has returned.
+
 Exit codes: 0 on success or all-pass; 1 on any failed check, and on a
 broken library invariant (``InvariantError``), reported on stderr as
 ``invariant violated: <msg>`` with nothing on stdout; 2 on usage errors
@@ -42,14 +49,7 @@ def _parse_element(ctx, text: str):
     return ctx.group.from_word_str(text)
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        print("\n".join(lines))
-
-
-def _cmd_roots(args: argparse.Namespace) -> int:
+def _roots(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     diagram = build_diagram(args.type, args.rank, affine=args.affine)
     payload: dict = {
         "type": args.type,
@@ -74,19 +74,17 @@ def _cmd_roots(args: argparse.Namespace) -> int:
                      + " ".join(str(c) for c in payload["highest_root"]))
     lines.append("cominuscule nodes: "
                  + (" ".join(str(d) for d in payload["cominuscule_nodes"]) or "none"))
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_smooth(args: argparse.Namespace) -> int:
+def _smooth(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     ctx = build_context(args.type, args.rank, args.comin)
     u = _parse_element(ctx, args.u)
     report = conormal.is_smooth(ctx, u)
     payload = {
         "type": args.type, "rank": args.rank, "d": args.comin,
         "u_word": u.word_str(),
-        "c3": report.c3, "c4": report.c4, "c5": report.c5, "c6": report.c6,
-        "L": list(report.support),
+        **conormal.smoothness_to_dict(report),
         "witness": [report.witness[0].word_str(), report.witness[1].word_str()],
         "smooth": report.smooth,
     }
@@ -94,11 +92,10 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
              f"criteria: c3={report.c3} c4={report.c4} c5={report.c5} c6={report.c6}",
              f"support L: {' '.join(str(i) for i in report.support) or '(empty)'}",
              f"smooth: {report.smooth}"]
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_conormal(args: argparse.Namespace) -> int:
+def _conormal(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     ctx = build_context(args.type, args.rank, args.comin)
     w = _parse_element(ctx, args.w)
     want_fibre = args.fibre or args.full_fibre
@@ -119,11 +116,10 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
                      + "; ".join(sorted(u.word_str() or "e" for u in report.fibre_max)))
         if report.fibre_all is not None:
             lines.append(f"fibre size: {len(report.fibre_all)}")
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_detvar(args: argparse.Namespace) -> int:
+def _detvar(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     corank, witness = detvar.fibre_rank(args.n, args.r)
     payload = {
         "n": args.n, "r": args.r,
@@ -136,11 +132,10 @@ def _cmd_detvar(args: argparse.Namespace) -> int:
              f"stratum element: {payload['stratum']}",
              f"conormal fibre at 0 has rank {corank}",
              f"witness element: {payload['witness']}"]
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _verify(args: argparse.Namespace) -> tuple[dict, list[str], int]:
     report = checks.run_suite(args.suite, max_rank=args.max_rank,
                               include_e7=args.include_e7)
     payload: dict = {
@@ -169,8 +164,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             line += f"  [{c.note}]"
         lines.append(line)
     lines.append(f"{len(report.checks) - len(report.failed)}/{len(report.checks)} checks passed")
-    _emit(payload, args.json, lines)
-    return 0 if report.all_pass else 1
+    return payload, lines, 0 if report.all_pass else 1
+
+
+_TYPE = ("--type", {"required": True, "choices": list("ABCDE")})
+_INT = {"required": True, "type": int}
+_ELEMENT = {"required": True, "help": "space-separated word ('' for the identity); "
+                                      "type-D fork queries also accept [v1,...,vn]"}
+_FLAG = {"action": "store_true"}
+
+COMMANDS = {  # name -> (help, handler, (flag, add_argument options) pairs); each adds --json
+    "roots": ("diagram and root system data", _roots,
+              [_TYPE, ("--rank", _INT), ("--affine", _FLAG)]),
+    "smooth": ("smoothness criteria for one element", _smooth,
+               [_TYPE, ("--rank", _INT), ("--comin", _INT), ("--u", _ELEMENT)]),
+    "conormal": ("conormal report for one element", _conormal,
+                 [_TYPE, ("--rank", _INT), ("--comin", _INT), ("--w", _ELEMENT),
+                  ("--fibre", {**_FLAG, "help": "include the Bruhat-maximal fibre labels"}),
+                  ("--full-fibre", {**_FLAG, "help": "include the whole fibre index set"})]),
+    "detvar": ("skew-symmetric determinantal fibre", _detvar, [("--n", _INT), ("--r", _INT)]),
+    "verify": ("run a named verification suite", _verify,
+               [("--suite", {"required": True, "choices": sorted(checks.SUITES) + ["all"]}),
+                ("--max-rank", {"type": int, "default": 5}),
+                ("--include-e7", _FLAG), ("--timing", _FLAG)]),
+}
 
 
 @functools.cache
@@ -179,66 +196,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cograss",
         description="Exact conormal combinatorics for cominuscule Grassmannians.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_roots = sub.add_parser("roots", help="diagram and root system data")
-    p_roots.add_argument("--type", required=True, choices=list("ABCDE"))
-    p_roots.add_argument("--rank", required=True, type=int)
-    p_roots.add_argument("--affine", action="store_true")
-    p_roots.add_argument("--json", action="store_true")
-    p_roots.set_defaults(func=_cmd_roots)
-
-    p_smooth = sub.add_parser("smooth", help="smoothness criteria for one element")
-    p_smooth.add_argument("--type", required=True, choices=list("ABCDE"))
-    p_smooth.add_argument("--rank", required=True, type=int)
-    p_smooth.add_argument("--comin", required=True, type=int)
-    p_smooth.add_argument("--u", required=True,
-                          help="space-separated word ('' for the identity); "
-                               "type-D fork queries also accept [v1,...,vn]")
-    p_smooth.add_argument("--json", action="store_true")
-    p_smooth.set_defaults(func=_cmd_smooth)
-
-    p_con = sub.add_parser("conormal", help="conormal report for one element")
-    p_con.add_argument("--type", required=True, choices=list("ABCDE"))
-    p_con.add_argument("--rank", required=True, type=int)
-    p_con.add_argument("--comin", required=True, type=int)
-    p_con.add_argument("--w", required=True,
-                       help="space-separated word ('' for the identity); "
-                            "type-D fork queries also accept [v1,...,vn]")
-    p_con.add_argument("--fibre", action="store_true",
-                       help="include the Bruhat-maximal fibre labels")
-    p_con.add_argument("--full-fibre", action="store_true",
-                       help="include the whole fibre index set")
-    p_con.add_argument("--json", action="store_true")
-    p_con.set_defaults(func=_cmd_conormal)
-
-    p_det = sub.add_parser("detvar", help="skew-symmetric determinantal fibre")
-    p_det.add_argument("--n", required=True, type=int)
-    p_det.add_argument("--r", required=True, type=int)
-    p_det.add_argument("--json", action="store_true")
-    p_det.set_defaults(func=_cmd_detvar)
-
-    p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("--suite", required=True,
-                       choices=sorted(checks.SUITES) + ["all"])
-    p_ver.add_argument("--max-rank", type=int, default=5)
-    p_ver.add_argument("--include-e7", action="store_true")
-    p_ver.add_argument("--timing", action="store_true")
-    p_ver.add_argument("--json", action="store_true")
-    p_ver.set_defaults(func=_cmd_verify)
+    for name, (help_text, _, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in (*arguments, ("--json", _FLAG)):
+            command.add_argument(flag, **options)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = COMMANDS[args.command][1](args)
     except InvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json
+          else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

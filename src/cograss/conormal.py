@@ -273,6 +273,12 @@ def pairwise_sums_not_roots(ctx: CominusculeContext) -> bool:
     return not ctx.shifted_root_sums
 
 
+def smoothness_to_dict(report: SmoothnessReport) -> dict:
+    """JSON-ready rendering of the criteria c3-c6 and the support L."""
+    return {"c3": report.c3, "c4": report.c4, "c5": report.c5, "c6": report.c6,
+            "L": list(report.support)}
+
+
 def report_to_dict(ctx: CominusculeContext, report: ConormalReport) -> dict:
     """Stable JSON-ready rendering of a conormal report."""
     out = {
@@ -283,13 +289,7 @@ def report_to_dict(ctx: CominusculeContext, report: ConormalReport) -> dict:
         "v_word": report.v.word_str(),
         "wv_word": report.wv.word_str(),
         "R": [list(vec) for vec in _decode(report.root_order, report.root_bits)],
-        "smooth": {
-            "c3": report.smooth.c3,
-            "c4": report.smooth.c4,
-            "c5": report.smooth.c5,
-            "c6": report.smooth.c6,
-            "L": list(report.smooth.support),
-        },
+        "smooth": smoothness_to_dict(report.smooth),
         "closure_is_schubert": report.closure_is_schubert,
     }
     if report.fibre_max is not None:

@@ -172,11 +172,15 @@ def perm_to_word(p: SignedPermutation) -> tuple[int, ...]:
 
 
 def parse_perm(text: str) -> SignedPermutation:
-    """Parse the bracketed one-line form, e.g. '[3,4,7,8]'."""
+    """Parse the bracketed one-line form, e.g. '[3,4,7,8]'; spaces around an
+    entry are allowed, an empty entry is refused."""
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError("signed permutation must look like [v1,v2,...]")
-    values = tuple(int(tok) for tok in body[1:-1].split(",") if tok.strip())
+    tokens = body[1:-1].split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"signed permutation {body} has an empty entry")
+    values = tuple(int(tok) for tok in tokens)
     return SignedPermutation(len(values), values)
 
 

@@ -201,7 +201,7 @@ class AffineWeylElement:
     def mul_simple_left(self, node: int) -> "AffineWeylElement":
         """s_node * self: mu less w^{-1}(alpha_node), folded along the reduced word."""
         group = self.group
-        root = list(group._simple_weights[group._node_index[node]])
+        root = group._weights(group.diagram.simple_root(node))
         group._fold(root, self.reduced_word())
         return _element(group, tuple(map(sub, self.mu, root)))
 
@@ -308,8 +308,7 @@ class AffineWeylElement:
         nums = [dj * (x[0] * m - xj) for dj, m, xj in zip(d, delta, x)][1:]
         require(all(num % d[0] == 0 for num in nums), "translation part is not integral")
         h = group._dual_coxeter
-        u = _element(group, tuple(m - h * sum(x[j] * c for j, c in row)
-                                  for m, row in zip(self.mu, group._cartan_row)))
+        u = _element(group, tuple(m - h * y for m, y in zip(self.mu, group._weights(x))))
         return u, tuple(num // d[0] for num in nums)
 
 
@@ -336,8 +335,8 @@ class WeylGroup:
 
     ``_cartan_row[i]`` and ``_cartan_col[j]`` list the nonzero Cartan
     entries of a row and of a column as (index, entry) pairs, for the action
-    on root coordinates and on weight coordinates; ``_simple_weights[j]`` is
-    alpha_j in weight coordinates (Cartan column j); ``_node_index`` maps a
+    on root coordinates and on weight coordinates; ``_weights`` maps a root
+    lattice vector to weight coordinates through the rows; ``_node_index`` maps a
     node label to its position, built once, and ``_first`` is the first label
     (nodes are consecutive); ``_longest``, the group's one cache, holds the
     parabolic longest elements by sorted node tuple.  An affine group also
@@ -364,7 +363,6 @@ class WeylGroup:
                                  for row in cartan)
         self._cartan_col = tuple(tuple((i, row[j]) for i, row in enumerate(cartan) if row[j])
                                  for j in range(n))
-        self._simple_weights = tuple(tuple(row[j] for row in cartan) for j in range(n))
         self._node_index = _NodeIndex((node, i) for i, node in enumerate(diagram.nodes))
         self._first = diagram.nodes[0]
         self.identity = _element(self, (1,) * n, 0)
@@ -381,6 +379,10 @@ class WeylGroup:
             self._check_loop_conventions()
         else:
             self.finite_diagram = diagram
+
+    def _weights(self, beta: Sequence[int]) -> list[int]:
+        """beta in weight coordinates: <beta, alpha_i^vee> = sum_k C[i][k] beta_k per node."""
+        return [sum(c * beta[k] for k, c in row) for row in self._cartan_row]
 
     def _fold(self, vec: list[int], letters: Iterable[int]) -> int:
         """Apply s_i to weight coordinates in place for each letter in turn (word
@@ -469,8 +471,7 @@ class WeylGroup:
             raise ValueError("coweight is off the coroot lattice: entries must be integers")
         d = diagram.symmetrizer
         nu = (0,) + tuple(d[0] // dj * qj for dj, qj in zip(d[1:], coroot))
-        return _element(self, tuple(1 - self._dual_coxeter * sum(c * nu[k] for k, c in row)
-                                    for row in self._cartan_row))
+        return _element(self, tuple(1 - self._dual_coxeter * y for y in self._weights(nu)))
 
     def embed_finite_matrix(self, ucols: Sequence[Vector]) -> AffineWeylElement:
         """The element acting on the finite roots by the matrix ucols (column k the
@@ -507,8 +508,7 @@ class WeylGroup:
         theta = (0,) + self.diagram.delta[1:]
         theta_covec = theta_coroot(self.finite_diagram)
         height = sum(theta_covec)
-        s_theta = _element(self, tuple(1 - height * sum(c * theta[k] for k, c in row)
-                                       for row in self._cartan_row))
+        s_theta = _element(self, tuple(1 - height * y for y in self._weights(theta)))
         candidate = s_theta * self.from_translation(tuple(-x for x in theta_covec))
         require(candidate == self.simple[0],
                 "semidirect convention mismatch: s_0 != (s_theta, -theta^vee)")
@@ -626,8 +626,7 @@ def coset_masks(group: WeylGroup, span_nodes: Iterable[int],
         raise ValueError(f"nodes {tuple(sorted(quo))} are not nodes of the diagram")
     both = tuple(node for node in span if node in quo)
     roots = sorted(positive_roots(diagram, span) - positive_roots(diagram, both))
-    weights = [tuple(sum(c * beta[k] for k, c in row) for row in group._cartan_row)
-               for beta in roots]
+    weights = [group._weights(beta) for beta in roots]
     # (x|beta) = sum_k beta_k d_k <x, alpha_k^vee>, so <mu, beta^vee> = 1 iff
     # sum_k beta_k d_k mu_k = (beta|beta)/2
     scaled = [tuple(map(mul, beta, diagram.symmetrizer)) for beta in roots]

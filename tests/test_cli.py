@@ -136,6 +136,11 @@ def test_conormal_accepts_signed_permutation_for_type_d(capsys):
     code, _, err = run(capsys, "conormal", "--type", "A", "--rank", "3",
                        "--comin", "2", "--w", "[1,2,3]")
     assert code == 2 and "type D" in err
+    # an empty entry is refused, not skipped
+    code, out, err = run(capsys, "conormal", "--type", "D", "--rank", "4",
+                         "--comin", "4", "--w", "[3,4,,7,8]", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: signed permutation [3,4,,7,8] has an empty entry\n"
 
 
 def test_conormal_refuses_a_permutation_of_the_wrong_rank(capsys):

@@ -276,5 +276,9 @@ def test_element_roundtrip_through_context():
 def test_parse_perm():
     assert detvar.parse_perm("[3,4,7,8]") == detvar.SignedPermutation(4, (3, 4, 7, 8))
     assert str(detvar.skew_rank_element(4, 2)) == "[3,4,7,8]"
+    assert detvar.parse_perm("[ 3, 4 ,7,8 ]") == detvar.SignedPermutation(4, (3, 4, 7, 8))
     with pytest.raises(ValueError):
         detvar.parse_perm("3,4,7,8")
+    for text in ("[3,4,,7,8]", "[3,4,7,8,]", "[,3,4,7,8]"):
+        with pytest.raises(ValueError, match="empty entry"):
+            detvar.parse_perm(text)

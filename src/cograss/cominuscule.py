@@ -139,19 +139,19 @@ class CominusculeContext:
         return tuple(sorted(self.cotangent_roots))
 
     @functools.cached_property
-    def delta_shifts(self) -> tuple[Vector, ...]:
-        """delta - alpha for each alpha of ``cotangent_order``, in that order."""
-        delta = self.delta()
-        return tuple(tuple(m - a for a, m in zip(alpha, delta)) for alpha in self.cotangent_order)
+    def delta_shifts(self) -> tuple[int, ...]:
+        """For each alpha of ``cotangent_order``, in that order, the bit of delta - alpha
+        in the iteration order of ``affine_levi_roots`` (a KeyError if it is not there)."""
+        bit = {beta: 1 << k for k, beta in enumerate(self.affine_levi_roots)}
+        return tuple(bit[tuple(m - a for a, m in zip(alpha, self.delta()))]
+                     for alpha in self.cotangent_order)
 
     @functools.cached_property
     def affine_levi_roots(self) -> dict[Vector, int]:
         """Phi+_{aff Levi} as iota(Phi+), each root mapped to the bit mask of its
         support.  iota carries the finite nodes onto the affine-Levi nodes, so this
-        relabels the roots the build grew and grows none; iota is an involution,
-        so (iota alpha)_k = alpha_iota(k)."""
-        image = (tuple(alpha[j] for j in self.involution)
-                 for alpha in positive_roots_of(self.group, self.finite_nodes))
+        relabels the roots the build grew and grows none."""
+        image = map(self.iota_root, positive_roots_of(self.group, self.finite_nodes))
         return {beta: sum(1 << i for i, c in enumerate(beta) if c) for beta in image}
 
     @functools.cached_property

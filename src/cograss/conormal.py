@@ -10,10 +10,10 @@ For a minimal representative w in the finite Weyl group, the conormal
 direction set R(w) is the cotangent roots less the inversions of w, stored
 as that mask's complement and decoded, in sorted order, on read.  Its
 twisted dual v (the diagram involution applied to w0*w*w_levi) lives in the
-affine Levi parabolic, where the shift alpha -> delta - alpha carries R(w) onto the
-inversions of v (``shift_check``, which shifts R(w)'s bits through the
-context's ``delta_shifts`` and compares them with v's sign read over
-Phi+_{aff Levi}, never with v's mask), and the closure of the conormal
+affine Levi parabolic, where the shift alpha -> delta - alpha carries R(w) onto
+the inversions of v (``shift_check`` maps R(w)'s bits through the context's
+``delta_shifts`` and compares them with v's ``inversion_mask`` over
+Phi+_{aff Levi}, never with v's W_d^0 mask), and the closure of the conormal
 variety inside the ambient affine Schubert variety is again a Schubert
 variety exactly when v satisfies the parabolic-longest-element smoothness
 criteria.  No root set is grown here: ``shift_check`` reads Phi+_{aff Levi}
@@ -90,8 +90,8 @@ class ConormalReport:
         return frozenset(_decode(self.root_order, self.root_bits))
 
 
-def _decode(order: tuple[Vector, ...], bits: int) -> Iterator[Vector]:
-    """The roots whose bits are set, in the order's order."""
+def _decode(order: tuple, bits: int) -> Iterator:
+    """The entries of the order whose bits are set, in the order's order."""
     while bits:
         low = bits & -bits
         yield order[low.bit_length() - 1]
@@ -128,14 +128,15 @@ def twisted_dual(ctx: CominusculeContext, w: AffineWeylElement) -> AffineWeylEle
 def shift_check(ctx: CominusculeContext, w: AffineWeylElement) -> bool:
     """Shift-by-delta bijection between conormal roots and inversions of the dual.
 
-    Tests {delta - alpha : alpha in R(w)} = {gamma in Phi+_{aff Levi} : v(gamma) < 0},
-    read over all of Phi+_{aff Levi} so that an inverted Levi root fails it.
+    Tests {delta - alpha : alpha in R(w)} = {gamma in Phi+_{aff Levi} : v(gamma) < 0}
+    as masks: R(w)'s bits mapped through ``delta_shifts``, and v's sign read over
+    all of Phi+_{aff Levi}, not its W_d^0 mask, so that an inverted Levi root fails it.
     The pointwise identity v(delta - alpha) = iota(w0(w(alpha))) does not involve w
     once v is substituted; ``checks.check_shift_root_bijection`` checks it per context.
     """
     report = _element_report(ctx, w)
-    shifted = set(_decode(ctx.delta_shifts, report.root_bits))
-    return shifted == report.v.inversions(ctx.affine_levi_roots)
+    shifted = sum(_decode(ctx.delta_shifts, report.root_bits))
+    return shifted == report.v.inversion_mask(ctx.affine_levi_roots)
 
 
 def is_smooth(ctx: CominusculeContext, u: AffineWeylElement) -> SmoothnessReport:
@@ -265,7 +266,8 @@ def nilpotent_set_check(ctx: CominusculeContext, gamma: Vector) -> bool:
         total = tuple(a + b for a, b in zip(x, gamma))
         if rootsys.is_root(ctx.affine_diagram, total) and total not in members:
             return False
-    return not u_plus.inversions(members) and u_minus.inversions(members) == members
+    return (not u_plus.inversion_mask(members)
+            and u_minus.inversion_mask(members).bit_count() == len(members))
 
 
 def pairwise_sums_not_roots(ctx: CominusculeContext) -> bool:

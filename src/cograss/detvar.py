@@ -173,15 +173,22 @@ def perm_to_word(p: SignedPermutation) -> tuple[int, ...]:
 
 def parse_perm(text: str) -> SignedPermutation:
     """Parse the bracketed one-line form, e.g. '[3,4,7,8]'; spaces around an
-    entry are allowed, an empty entry is refused."""
+    entry are allowed, an empty entry is refused, and so is, by name, an entry
+    that is not an integer."""
     body = text.strip()
     if not (body.startswith("[") and body.endswith("]")):
         raise ValueError("signed permutation must look like [v1,v2,...]")
     tokens = body[1:-1].split(",")
     if not all(tok.strip() for tok in tokens):
         raise ValueError(f"signed permutation {body} has an empty entry")
-    values = tuple(int(tok) for tok in tokens)
-    return SignedPermutation(len(values), values)
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError("signed permutation must look like [v1,v2,...] with integer"
+                             f" entries, got {tok.strip()!r}") from None
+    return SignedPermutation(len(values), tuple(values))
 
 
 @functools.lru_cache(maxsize=None)

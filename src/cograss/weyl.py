@@ -73,11 +73,12 @@ product of a length-less factor) strips a reduced word on its first
 ``length()`` and keeps the result; ``reduced_word`` checks a carried
 length against the stripped one.
 
-Root signs are read off mu.  ``inversions`` returns the given real roots
-that w sends negative.  For a real root alpha, w(alpha) has the sign of
-<rho, w(alpha)^vee> = <mu, alpha^vee>, and <mu, alpha^vee> has the sign of
-(mu|alpha) = sum_k alpha_k d_k mu_k, as (alpha_k|alpha_k) = 2 d_k; so alpha
-is inverted iff that sum is negative.  One pass over mu per call.
+Root signs are read off mu, by one method: ``inversion_mask`` takes an
+ordered list of real roots and sets bit k iff w sends the k-th negative, so
+callers compare root sets as ints.  For a real root alpha, w(alpha) has the
+sign of <rho, w(alpha)^vee> = <mu, alpha^vee>, and <mu, alpha^vee> has the
+sign of (mu|alpha) = sum_k alpha_k d_k mu_k, as (alpha_k|alpha_k) = 2 d_k; so
+alpha is inverted iff that sum is negative.  One pass over mu per call.
 
 A diagram automorphism sigma permutes the simple roots and fixes rho, so
 conjugation w -> sigma w sigma^-1 sends mu to sigma(mu) and keeps lengths;
@@ -236,18 +237,10 @@ class AffineWeylElement:
         """w s_node < w  iff  w(alpha_node) < 0  iff  mu_node < 0."""
         return self.mu[self.group._node_index[node]] < 0
 
-    def inversions(self, roots: Iterable[Vector]) -> frozenset[Vector]:
-        """The given real roots that the element sends negative.
-
-        Read off mu, as the module docstring explains; every vector passed
-        must be a real root of this group's lattice.
-        """
-        weights = tuple(map(mul, self.group.diagram.symmetrizer, self.mu))
-        return frozenset(alpha for alpha in roots if sum(map(mul, alpha, weights)) < 0)
-
     def inversion_mask(self, roots: Iterable[Vector]) -> int:
-        """The same sign read over an ordered list of roots, as one int: bit k is
-        set iff the k-th root is sent negative."""
+        """The given real roots that the element sends negative, as one int: bit k
+        is set iff the k-th root in iteration order is.  Read off mu, as the module
+        docstring explains; every vector must be a real root of this group's lattice."""
         weights = tuple(map(mul, self.group.diagram.symmetrizer, self.mu))
         return sum(1 << k for k, alpha in enumerate(roots) if sum(map(mul, alpha, weights)) < 0)
 
@@ -451,9 +444,16 @@ class WeylGroup:
         return x
 
     def from_word_str(self, text: str) -> AffineWeylElement:
-        """Parse the canonical space-separated word form ('' = identity)."""
-        text = text.strip()
-        return self.from_word(int(tok) for tok in text.split()) if text else self.identity
+        """Parse the canonical space-separated word form ('' = identity); ValueError
+        names a token that is not an integer."""
+        letters = []
+        for tok in text.split():
+            try:
+                letters.append(int(tok))
+            except ValueError:
+                raise ValueError(f"word must look like '0 2 1' (node numbers separated by"
+                                 f" spaces), got {tok!r}") from None
+        return self.from_word(letters)
 
     def from_translation(self, coroot: Sequence[int]) -> AffineWeylElement:
         """The translation tau_q, q in the coroot lattice: alpha -> alpha - <alpha, q> delta.

@@ -2,8 +2,9 @@
 
 Each oracle filters or solves where the library reads: positive roots by
 reflect-and-filter closure, leading minors by elimination in Fractions,
-root signs by coefficient signs, coroot coordinates and translation parts
-by an exact Gaussian elimination,
+root signs by coefficient signs (``act_inversions`` applies the matrix of
+the action to each root, where the library pairs the root with mu), coroot
+coordinates and translation parts by an exact Gaussian elimination,
 "is w a translation?" by a test on the columns of its matrix, and the
 right product w s_i by applying w to each reflected simple root.
 ``chain_longest_element`` and ``chain_min_rep`` walk a chain of elements,
@@ -15,6 +16,7 @@ from letters the test chooses, so it never reads the element it checks.
 """
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from cograss.rootsys import DynkinDiagram, Vector, build_diagram, positive_roots, solve_exact
@@ -86,7 +88,20 @@ def grown_c5(ctx, u) -> bool:
     """c5 for u in W_d^0 on grown sets: the inversions of u among Phi+_{Supp(u)}
     are Phi+_{Supp(u)} minus Phi+_levi, each set grown for its own node set."""
     grown = positive_roots(ctx.affine_diagram, u.support())
-    return u.inversions(grown) == grown - positive_roots(ctx.affine_diagram, ctx.levi_nodes)
+    return act_inversions(u, grown) == grown - positive_roots(ctx.affine_diagram, ctx.levi_nodes)
+
+
+def act_inversions(w, roots) -> frozenset[Vector]:
+    """The given roots alpha for which w(alpha) has a negative coefficient, by the
+    matrix of the action (column k = w(alpha_k)): no dot product with mu."""
+    rows = tuple(zip(*w.cols))
+    return frozenset(alpha for alpha in roots
+                     if is_negative_vec([sum(map(mul, row, alpha)) for row in rows]))
+
+
+def decode(order: Sequence[Vector], mask: int) -> frozenset[Vector]:
+    """The roots of the order whose bits are set in the mask."""
+    return frozenset(alpha for k, alpha in enumerate(order) if mask >> k & 1)
 
 
 def is_positive_vec(vec: Sequence[int]) -> bool:

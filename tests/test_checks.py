@@ -393,17 +393,18 @@ def test_min_reps_are_validated_once_per_context_and_element(monkeypatch, fresh_
 def test_sweep_reads_each_dual_by_sign_once(monkeypatch, fresh_contexts):
     """Op-count gate: a rank-5 sweep on fresh contexts of every suite but nilp
     (which reads its root sets by sign on two fixed elements per admissible
-    root) makes at most one inversions call per W^P element, shift_check's
-    read of v, and one inversion_mask read per element it validates.  R(w),
-    c5 and the full fibre read the grown masks; reading them by sign made
-    three inversions calls per W^P element (804)."""
-    calls = Counter()
-    for name in ("inversions", "inversion_mask"):
-        def counting(self, roots, _real=getattr(weyl.AffineWeylElement, name), _name=name):
-            calls[_name] += 1
-            return _real(self, roots)
+    root) makes one inversion_mask read per element it validates, plus at
+    most one per W^P element, shift_check's read of v.  R(w), c5 and the full
+    fibre read the grown masks; reading them by sign made three sign reads
+    per W^P element (804)."""
+    reads = []
+    real_mask = weyl.AffineWeylElement.inversion_mask
 
-        monkeypatch.setattr(weyl.AffineWeylElement, name, counting)
+    def counting(self, roots):
+        reads.append(self)
+        return real_mask(self, roots)
+
+    monkeypatch.setattr(weyl.AffineWeylElement, "inversion_mask", counting)
     validated = []
     real = cominuscule._require_min_rep
 
@@ -417,8 +418,8 @@ def test_sweep_reads_each_dual_by_sign_once(monkeypatch, fresh_contexts):
             assert run_suite(suite, 5).all_pass, suite
     contexts = [fresh_contexts(*pair) for pair in checks.cominuscule_pairs(5)]
     assert fresh_contexts.cache_info().currsize == len(contexts)
-    assert 0 < calls["inversions"] <= sum(len(ctx.min_reps) for ctx in contexts)
-    assert calls["inversion_mask"] == len(validated) > 0
+    assert 0 < len(validated) < len(reads) <= len(validated) + sum(
+        len(ctx.min_reps) for ctx in contexts)
 
 
 def test_inverses_are_built_once_per_dual_element(monkeypatch, fresh_contexts):
@@ -555,11 +556,14 @@ print(json.dumps([[c.check_id, c.params] for c in checks.run_suite("involution-b
 def test_shift_identity_fails_on_a_wrong_iota_with_asserts_stripped():
     """involution-bij-roots compares iota(w_levi(alpha)) with delta - alpha
     explicitly, so under python -O an iota that leaves nodes 0 and d in place
-    fails that record on every context (the alpha_0 coefficient stays 0)."""
+    fails that record on every context (the alpha_0 coefficient stays 0).
+    Phi+_{aff Levi} is relabelled through the same iota_root, so it then holds
+    no delta - alpha and involution-bij fails on every context too."""
     run = _run_with_asserts_stripped("-c", IOTA_FIXING_NODES_0_AND_D)
     assert run.returncode == 0, run.stderr[-2000:]
     contexts = sorted(f"{series}{rank} d={d}" for series, rank, d in checks.cominuscule_pairs(5))
-    expected = [["involution-bij-roots", params] for params in contexts]
+    expected = [[check, params] for check in ("involution-bij", "involution-bij-roots")
+                for params in contexts]
     assert json.loads(run.stdout) == expected
 
 
@@ -628,6 +632,22 @@ def test_only_weyl_reads_the_element_matrix():
                     node.func, "id", getattr(node.func, "attr", None)) == "AffineWeylElement":
                 sites.append(f"{path.name}:{node.lineno} AffineWeylElement()")
     assert sites == []
+
+
+def test_inversion_mask_is_the_one_root_sign_read():
+    """Gate: a set of roots is read by sign through one method.  An element has
+    no ``inversions``, and every inversion read that another module makes is an
+    ``inversion_mask`` call, in cominuscule and conormal both."""
+    assert not hasattr(weyl.AffineWeylElement, "inversions")
+    reads = set()
+    for path in sorted((REPO / "src" / "cograss").glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and "inversion" in node.func.attr):
+                reads.add((path.name, node.func.attr))
+    assert reads == {("cominuscule.py", "inversion_mask"), ("conormal.py", "inversion_mask")}
 
 
 def test_workload_paths_derive_no_matrix(monkeypatch, fresh_contexts):
@@ -792,18 +812,40 @@ cominuscule.coset_masks = mutated
 raise SystemExit(cli.main(["verify", "--suite", side, "--max-rank", "4", "--json"]))
 """
 
+ROTATED_DELTA_SHIFTS = """
+from cograss import cli, cominuscule
+real = cominuscule.CominusculeContext.delta_shifts.func
 
-@pytest.mark.parametrize("suite", ["involution-bij", "sb-equiv"])
-def test_a_wrong_coset_mask_fails_its_check_with_asserts_stripped(suite):
-    """The grown masks are checked by the sweep.  Under python -O, with one bit
-    of one A3 d=2 mask wrong, verify exits 1 and only one record fails: a bit
-    dropped from W^P's top element adds a root to R(w), which the delta-shift
-    no longer carries onto v's sign-read inversions (involution-bij); a bit
-    flipped on W_d^0's identity breaks c5 against c3, c4 and c6 (sb-equiv)."""
-    run = _run_with_asserts_stripped("-c", MUTATED_COSET_MASK, suite)
+def rotated(ctx):
+    shifts = real(ctx)
+    if (ctx.series, ctx.rank, ctx.cominuscule_node) == ("A", 3, 2):
+        shifts = shifts[1:] + shifts[:1]  # each root takes its neighbour's shift bit
+    return shifts
+
+cominuscule.CominusculeContext.delta_shifts = property(rotated)
+raise SystemExit(cli.main(["verify", "--suite", "all", "--max-rank", "4", "--json"]))
+"""
+
+
+@pytest.mark.parametrize("suite, script", [
+    pytest.param("involution-bij", MUTATED_COSET_MASK, id="involution-bij"),
+    pytest.param("sb-equiv", MUTATED_COSET_MASK, id="sb-equiv"),
+    pytest.param("involution-bij", ROTATED_DELTA_SHIFTS, id="involution-bij-delta-shifts"),
+])
+def test_a_wrong_coset_mask_fails_its_check_with_asserts_stripped(suite, script):
+    """The grown masks and the shift bits are checked by the sweep.  Under
+    python -O, with one bit of one A3 d=2 mask wrong, verify exits 1 and only
+    one record fails, on a comparison rather than an exception: a bit dropped
+    from W^P's top element adds a root to R(w), which the delta-shift no
+    longer carries onto v's sign-read inversions (involution-bij); a bit
+    flipped on W_d^0's identity breaks c5 against c3, c4 and c6 (sb-equiv).
+    With A3 d=2's delta_shifts rotated by one, the whole sweep fails only
+    that context's involution-bij record."""
+    run = _run_with_asserts_stripped("-c", script, suite)
     assert run.returncode == 1, run.stderr[-2000:]
-    failed = [[c["id"], c["params"]] for c in json.loads(run.stdout)["checks"] if not c["pass"]]
-    assert failed == [[suite, "A3 d=2"]]
+    failed = [[c["id"], c["params"], c.get("note", "")]
+              for c in json.loads(run.stdout)["checks"] if not c["pass"]]
+    assert failed == [[suite, "A3 d=2", ""]]
 
 
 DUAL_TABLE_MISSING_ONE = """

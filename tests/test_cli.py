@@ -58,6 +58,11 @@ def test_broken_invariant_exits_1_and_usage_error_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "roots", "--type", "D", "--rank", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "rank >= 4" in err
+    code, out, err = run(capsys, "conormal", "--type", "A", "--rank", "3",
+                         "--comin", "2", "--w", "1,2", "--json")
+    assert (code, out) == (2, "")
+    assert err == ("error: word must look like '0 2 1' (node numbers separated by spaces),"
+                   " got '1,2'\n")
 
 
 def test_derived_twisted_dual_outside_w_d0_exits_1(capsys, monkeypatch):

@@ -282,3 +282,8 @@ def test_parse_perm():
     for text in ("[3,4,,7,8]", "[3,4,7,8,]", "[,3,4,7,8]"):
         with pytest.raises(ValueError, match="empty entry"):
             detvar.parse_perm(text)
+    for text, token in (("[3,4,x,8]", "x"), ("[3,4,7.5,8]", "7.5"), ("[3, 4 ,a b,8]", "a b")):
+        with pytest.raises(ValueError) as refused:
+            detvar.parse_perm(text)
+        assert str(refused.value) == ("signed permutation must look like [v1,v2,...] with"
+                                      f" integer entries, got {token!r}")
